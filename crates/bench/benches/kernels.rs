@@ -159,7 +159,8 @@ fn bench_functional_trainers(c: &mut Criterion) {
             50_000,
         )
         .expect("trainer")
-        .with_compression(0.01);
+        .with_compression(0.01)
+        .expect("keep ratio");
         b.iter(|| trainer.train_step_with_grads(&grads).expect("step"));
     });
     g.finish();

@@ -1,9 +1,9 @@
-//! Benchmarks of the pipelined fabric execution backend: one full functional
-//! training step, serial vs pipelined across worker-thread counts, with and
-//! without SmartComp compression. The results are bit-identical by
-//! construction (the integration suite asserts it); these measure the
-//! wall-clock effect of overlapping the per-device write → compress/update →
-//! read-back stages.
+//! Benchmarks of the near-storage trainer with its CSD lanes overlapped
+//! (`SmartInfinityTrainer::with_pipelining`): one full functional training
+//! step across worker-thread counts, with and without SmartComp compression.
+//! The results are bit-identical for every thread count (the integration
+//! suite asserts it); these measure the wall-clock effect of overlapping the
+//! per-device write → compress/update → read-back stages.
 //!
 //! NOTE: on a single-CPU container the pipelined lanes time-slice one core,
 //! so the ratios here are only meaningful on a multi-core machine (the same
@@ -13,7 +13,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use optim::Optimizer;
 use std::hint::black_box;
 use tensorlib::FlatTensor;
-use ztrain::PipelinedTrainer;
+use ztrain::SmartInfinityTrainer;
 
 const STEP_ELEMS: usize = 1 << 18;
 const DEVICES: usize = 4;
@@ -28,13 +28,14 @@ fn bench_pipelined_step(c: &mut Criterion) {
         let label = keep.map_or("dense".to_string(), |k| format!("topk{k}"));
         for threads in [1usize, 2, 4] {
             g.bench_with_input(BenchmarkId::new(&label, threads), &threads, |b, &threads| {
-                let mut trainer = PipelinedTrainer::new(
+                let mut trainer = SmartInfinityTrainer::new(
                     &initial,
                     Optimizer::adam_default(),
                     DEVICES,
                     STEP_ELEMS / DEVICES,
                 )
-                .expect("trainer");
+                .expect("trainer")
+                .with_pipelining();
                 if let Some(k) = keep {
                     trainer = trainer.with_compression(k).expect("keep ratio");
                 }

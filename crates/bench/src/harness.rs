@@ -14,7 +14,7 @@ use smart_infinity::{
 };
 use tensorlib::KernelPath;
 use ztrain::realtrain::{train_classifier, Dataset, MlpModel, TrainConfig};
-use ztrain::{BaselineEngine, IterationReport, MachineConfig, PipelinedTrainer};
+use ztrain::{BaselineEngine, IterationReport, MachineConfig, SmartInfinityTrainer};
 
 /// A labelled per-phase breakdown row.
 #[derive(Debug, Clone, Serialize)]
@@ -1206,14 +1206,15 @@ pub fn perf_snapshot(quick: bool) -> PerfSnapshot {
         .collect();
     kernels.push(kernel_perf("topk_exact_1pct", topk_points));
 
-    // One full functional training step on the pipelined backend, 1 lane
+    // One full functional training step with overlapped CSD lanes, 1 lane
     // worker vs `threads` lane workers (bit-identical results, different
-    // wall-clock — the overlap the pipelined backend is for).
+    // wall-clock — the overlap `with_pipelining` is for).
     let run_pipelined = |workers: usize| {
         let initial = FlatTensor::randn(elems, 0.02, 4);
         let mut trainer =
-            PipelinedTrainer::new(&initial, optimizer, threads, elems.div_ceil(threads))
+            SmartInfinityTrainer::new(&initial, optimizer, threads, elems.div_ceil(threads))
                 .expect("pipelined trainer")
+                .with_pipelining()
                 .with_threads(workers);
         best_secs(reps, || {
             let report = trainer.train_step_with_grads(&grads).expect("pipelined step");

@@ -17,8 +17,6 @@
 //!   the u32 index space.
 //! * [`ErrorFeedback`] — the residual accumulator used by sparsified training
 //!   so that dropped gradient mass is re-injected at the next step.
-//! * [`LowRankCompressor`] — the PowerSGD-style low-rank alternative the paper
-//!   weighs against Top-K (Section IV-C), provided for comparison/ablation.
 //!
 //! # Example
 //!
@@ -43,13 +41,11 @@
 mod compressed;
 mod compressor;
 mod feedback;
-mod lowrank;
 mod simd;
 
 pub use compressed::{CompressError, CompressedGradient};
 pub use compressor::{valid_keep_ratio, Compressor, SelectionMethod};
 pub use feedback::ErrorFeedback;
-pub use lowrank::{LowRankCompressor, LowRankGradient};
 
 #[cfg(test)]
 mod tests {

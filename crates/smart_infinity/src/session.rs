@@ -11,8 +11,8 @@
 //!
 //! * [`Session::trainer`] builds the matching *functional* trainer behind a
 //!   `Box<dyn Trainer>` — no `in_storage_update` yields the RAID0 baseline,
-//!   the in-storage axes yield a [`SmartInfinityTrainer`] or the overlapping
-//!   [`ztrain::PipelinedTrainer`], compressed when the spec says so.
+//!   the in-storage axes yield a [`SmartInfinityTrainer`], overlapped across
+//!   CSDs and compressed when the spec says so.
 //! * [`Session::simulate_iteration`] runs the *timed* model of the same
 //!   configuration and returns the per-phase breakdown.
 //!
@@ -25,14 +25,13 @@ use crate::cluster::ClusterSpec;
 use crate::engine_timed::{HandlerMode, SmartInfinityEngine};
 use crate::experiment::Experiment;
 use crate::spec::MethodSpec;
-use crate::SmartInfinityTrainer;
 use fabric::StorageKind;
 use faultkit::{FaultPlan, FaultSpec, TimedFaultEffects};
 use llm::{ModelConfig, Workload};
 use optim::Optimizer;
 use tensorlib::FlatTensor;
 use ztrain::{
-    BaselineEngine, IterationReport, MachineConfig, PipelinedTrainer, StorageOffloadTrainer,
+    BaselineEngine, IterationReport, MachineConfig, SmartInfinityTrainer, StorageOffloadTrainer,
     TrainError, Trainer,
 };
 
@@ -247,11 +246,13 @@ impl Session {
     /// no `in_storage_update` yields the ZeRO-Infinity-style
     /// [`StorageOffloadTrainer`] over `machine.num_devices` RAID0 SSDs; the
     /// in-storage axes yield a [`SmartInfinityTrainer`] over the same number
-    /// of CSDs — or the overlapping [`PipelinedTrainer`] when `pipelined` is
-    /// set (bit-identical to the serial trainers, with per-stage telemetry in
-    /// its step reports) — compressed with the spec's selector when the
-    /// compression axis is enabled. (The `overlap` axis is purely a *timing*
-    /// feature; it does not change the functional result.)
+    /// of CSDs, compressed with the spec's selector when the compression axis
+    /// is enabled. `pipelined` calls
+    /// [`SmartInfinityTrainer::with_pipelining`]: the CSD lanes overlap on
+    /// the worker pool and each step reports per-stage telemetry; otherwise
+    /// the shards run in order and the pool fans out each shard's kernels.
+    /// Both schedules give bit-identical results. (The `overlap` axis is
+    /// purely a *timing* feature; it does not change the functional result.)
     ///
     /// # Errors
     ///
@@ -283,43 +284,21 @@ impl Session {
             }
             return Ok(Box::new(trainer));
         }
-        if spec.pipelined {
-            let mut trainer =
-                PipelinedTrainer::new(initial_params, self.optimizer, devices, subgroup)?;
-            if let Some(compression) = &spec.compression {
-                trainer = trainer.with_compressor(compression.compressor());
-            }
-            if self.threads > 1 {
-                trainer = trainer.with_threads(self.threads);
-            }
-            if let Some(plan) = plan {
-                trainer = trainer.with_fault_plan(plan);
-            }
-            Ok(Box::new(trainer))
-        } else {
-            let mut trainer = self.smart_trainer(initial_params, devices, subgroup)?;
-            if let Some(compression) = &spec.compression {
-                trainer = trainer.with_compressor(compression.compressor());
-            }
-            if let Some(plan) = plan {
-                trainer = trainer.with_fault_plan(plan);
-            }
-            Ok(Box::new(trainer))
-        }
-    }
-
-    fn smart_trainer(
-        &self,
-        initial_params: &FlatTensor,
-        devices: usize,
-        subgroup: usize,
-    ) -> Result<SmartInfinityTrainer, TrainError> {
         let mut trainer =
             SmartInfinityTrainer::new(initial_params, self.optimizer, devices, subgroup)?;
+        if spec.pipelined {
+            trainer = trainer.with_pipelining();
+        }
+        if let Some(compression) = &spec.compression {
+            trainer = trainer.with_compressor(compression.compressor());
+        }
         if self.threads > 1 {
             trainer = trainer.with_threads(self.threads);
         }
-        Ok(trainer)
+        if let Some(plan) = plan {
+            trainer = trainer.with_fault_plan(plan);
+        }
+        Ok(Box::new(trainer))
     }
 
     /// The subgroup capacity the functional trainers use: the explicit knob,

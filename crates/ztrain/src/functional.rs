@@ -9,7 +9,7 @@
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
-use crate::trainer::{DegradedReport, StepReport, TrainError, Trainer};
+use crate::trainer::{check_gradient_len, DegradedReport, StepReport, TrainError, Trainer};
 use faultkit::FaultPlan;
 use optim::{Optimizer, OptimizerKind};
 use ssd::{RaidArray, SsdDevice, SsdError};
@@ -316,6 +316,7 @@ impl StorageOffloadTrainer {
 
 impl Trainer for StorageOffloadTrainer {
     fn step(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
+        check_gradient_len(grads.len(), self.num_params())?;
         Ok(self.train_step_with_grads(grads)?)
     }
 

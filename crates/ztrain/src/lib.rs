@@ -2,8 +2,9 @@
 //!
 //! This crate implements the *baseline* the paper compares against — a
 //! ZeRO-Infinity-style storage-offloaded training engine with host-CPU
-//! parameter updates and RAID0 SSDs — plus the shared machinery the
-//! Smart-Infinity engines in the `smart_infinity` crate build on:
+//! parameter updates and RAID0 SSDs — the functional near-storage trainer,
+//! and the shared machinery the timed Smart-Infinity engine in the
+//! `smart_infinity` crate builds on:
 //!
 //! * [`MachineConfig`] — the hardware description (GPU, CPU, SSDs/CSDs, PCIe
 //!   topology) of a training server, with presets matching the paper's
@@ -26,10 +27,12 @@
 //! * [`StorageOffloadTrainer`] — a *functional* baseline that actually moves
 //!   bytes through [`ssd::RaidArray`] and runs the real optimizer kernels, so
 //!   Smart-Infinity's numerical equivalence can be tested end to end.
-//! * [`PipelinedTrainer`] — the pipelined fabric execution backend: each
-//!   device shard becomes a pipeline lane (write → compress/update →
-//!   read-back) and the lanes overlap on a [`parcore::ParExecutor`],
-//!   bit-identical to the serial trainers and reporting per-stage telemetry.
+//! * [`SmartInfinityTrainer`] — the functional near-storage trainer: each
+//!   CSD shard is a lane (write → compress/update → read-back) run by one
+//!   per-shard function, either shard by shard with the worker pool lent to
+//!   the kernels, or with the lanes overlapped on a [`parcore::ParExecutor`]
+//!   (`with_pipelining`, reporting per-stage telemetry). Both schedules give
+//!   bit-identical results.
 //! * [`Trainer`] / [`StepReport`] / [`StageReport`] / [`TrainError`] — the
 //!   unified training contract every functional substrate implements, so
 //!   callers hold a `dyn Trainer` and the `?` operator works across layer
@@ -57,9 +60,7 @@ pub use baseline::BaselineEngine;
 pub use checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 pub use functional::{GradientSource, StorageOffloadTrainer, SyntheticGradients};
 pub use machine::MachineConfig;
-pub use pipeline::{
-    aggregate_csd_stats, init_csd_shards, reassemble_master_params, PipelinedTrainer,
-};
+pub use pipeline::SmartInfinityTrainer;
 pub use platform::TimedPlatform;
 pub use recover::{recover, Recoverable};
 pub use report::IterationReport;

@@ -1,35 +1,10 @@
-//! The pipelined fabric execution backend.
-//!
-//! Smart-Infinity's headline win comes from *overlap*: gradient transfer,
-//! near-storage compression and optimizer updates proceed concurrently across
-//! the CSDs instead of one global phase at a time, so the shared host
-//! interconnect stops being a step-granularity bottleneck (paper Sections
-//! IV-B/IV-D). The serial functional trainer walks the device shards one
-//! after another; [`PipelinedTrainer`] turns each device shard into a
-//! *pipeline lane* — write (gradient ingest) → compress/update → read-back —
-//! and runs the lanes concurrently on a [`parcore::ParExecutor`].
-//!
-//! Two properties are load-bearing and asserted by the test suites:
-//!
-//! * **Bit-identical results.** Every lane performs exactly the serial
-//!   trainer's per-shard work (same error feedback, same Top-K selection,
-//!   same updater kernels), and lanes touch disjoint state — their own
-//!   [`CsdDevice`], their own residual, their own slice of the FP16 working
-//!   copy. Scheduling therefore cannot change a single bit of the result,
-//!   for any worker-thread or device count.
-//! * **Per-stage telemetry.** Each step's [`StepReport`] carries a
-//!   [`StageReport`]: how many bytes the write, update and read-back stages
-//!   moved and how many lanes were in flight, mirroring the stage-level link
-//!   accounting of the timed engine.
-//!
-//! Construction is fallible ([`TrainError::Config`]) rather than asserting:
-//! this backend is reached from user-facing configuration
-//! (`smart_infinity::Session`), where a bad knob must be an error, not an
-//! abort.
+//! The functional near-storage trainer, [`SmartInfinityTrainer`].
 
 use crate::checkpoint::{bits_to_tensor, tensor_to_bits, TrainerCheckpoint};
 use crate::recover::recover;
-use crate::trainer::{DegradedReport, StageReport, StepReport, TrainError, Trainer};
+use crate::trainer::{
+    check_gradient_len, DegradedReport, StageReport, StepReport, TrainError, Trainer,
+};
 use csd::{CsdDevice, CsdError, CsdTrafficStats, SubgroupUpdate};
 use faultkit::FaultPlan;
 use gradcomp::{Compressor, ErrorFeedback};
@@ -37,76 +12,27 @@ use optim::Optimizer;
 use parcore::ParExecutor;
 use tensorlib::{Chunker, Dtype, FlatTensor, Partitioner, Shard};
 
-/// The distributed starting state shared by every functional Smart-Infinity
-/// trainer (serial or pipelined): the flattened parameters contiguously
-/// sharded across fresh CSD models, with the FP32 master copy and zeroed
-/// optimizer state stored on each device, plus one error-feedback residual
-/// per shard.
-///
-/// Extracted so the serial and pipelined trainers cannot drift apart — their
-/// bit-identicality starts with byte-identical device state.
-pub fn init_csd_shards(
-    initial_params: &FlatTensor,
-    optimizer: &Optimizer,
-    num_csds: usize,
-) -> Result<(Partitioner, Vec<CsdDevice>, Vec<ErrorFeedback>), CsdError> {
-    let partitioner = Partitioner::contiguous(initial_params.len(), num_csds);
-    let mut csds = Vec::with_capacity(num_csds);
-    for shard in partitioner.shards() {
-        let mut csd = CsdDevice::new(format!("csd{}", shard.device), u64::MAX / 4, u64::MAX / 4);
-        let shard_params = initial_params.slice(shard.offset, shard.len);
-        csd.store_initial_state("shard", &shard_params, optimizer)?;
-        csds.push(csd);
-    }
-    let feedback = partitioner.shards().iter().map(|s| ErrorFeedback::new(s.len)).collect();
-    Ok((partitioner, csds, feedback))
-}
-
-/// Reassembles the FP32 master copy from the per-device shards created by
-/// [`init_csd_shards`].
-pub fn reassemble_master_params(
-    csds: &mut [CsdDevice],
-    partitioner: &Partitioner,
-) -> Result<FlatTensor, CsdError> {
-    let mut out = FlatTensor::zeros(partitioner.total());
-    for (csd, shard) in csds.iter_mut().zip(partitioner.shards()) {
-        if shard.len == 0 {
-            continue;
-        }
-        // Reassembly is maintenance traffic: it observes state rather than
-        // training, so it must neither fail on nor consume fault decisions.
-        csd.suspend_faults(true);
-        let result = csd.load_parameters("shard", 0, shard.len);
-        csd.suspend_faults(false);
-        out.write_slice(shard.offset, result?.as_slice());
-    }
-    Ok(out)
-}
-
-/// Sums the CSD-internal P2P traffic statistics of a device set.
-pub fn aggregate_csd_stats(csds: &[CsdDevice]) -> CsdTrafficStats {
-    let mut total = CsdTrafficStats::default();
-    for csd in csds {
-        let s = csd.stats();
-        total.p2p_read_bytes += s.p2p_read_bytes;
-        total.p2p_write_bytes += s.p2p_write_bytes;
-        total.updates_run += s.updates_run;
-        total.elements_updated += s.elements_updated;
-    }
-    total
-}
-
-/// Everything one pipeline lane may touch: disjoint per-device state, so the
-/// lanes can run concurrently without synchronisation.
+/// Everything one lane may touch: disjoint per-device state, so the lanes can
+/// run concurrently without synchronisation.
 struct Lane<'a> {
     shard: Shard,
     csd: &'a mut CsdDevice,
     feedback: &'a mut ErrorFeedback,
-    scratch: &'a mut FlatTensor,
     fp16_out: &'a mut [f32],
 }
 
-/// Byte accounting of one lane's trip through the three stages.
+/// What every lane of one step reads.
+struct StepInputs<'a> {
+    grads: &'a FlatTensor,
+    compressor: Option<Compressor>,
+    optimizer: Optimizer,
+    subgroup_elems: usize,
+    step: u64,
+    max_retries: u32,
+}
+
+/// Byte accounting of one lane's trip through the three stages, or of a whole
+/// step once the lanes are summed.
 #[derive(Debug, Clone, Copy, Default)]
 struct LaneReport {
     write_bytes: u64,
@@ -117,34 +43,76 @@ struct LaneReport {
     degraded: DegradedReport,
 }
 
-/// A functional Smart-Infinity trainer whose per-device stages overlap.
+impl LaneReport {
+    fn absorb(&mut self, other: &LaneReport) {
+        self.write_bytes += other.write_bytes;
+        self.kept += other.kept;
+        self.update_read_bytes += other.update_read_bytes;
+        self.update_write_bytes += other.update_write_bytes;
+        self.read_back_bytes += other.read_back_bytes;
+        self.degraded.absorb(&other.degraded);
+    }
+}
+
+/// The functional Smart-Infinity trainer: real bytes, real kernels, real
+/// updated parameters.
 ///
-/// Holds the same distributed state as the serial trainer — the flattened
-/// parameters contiguously sharded across CSD models, FP32 master copies and
-/// optimizer states on each device — but executes each step as a software
-/// pipeline over the shards. Results are **bit-identical** to the serial
-/// trainer for every thread count; only wall-clock time and the telemetry
-/// (`StepReport::stages`) differ.
+/// The trainer distributes the flattened parameters contiguously across CSD
+/// models (paper Section IV-D). Each step hands every shard's
+/// gradient to its owner CSD (optionally Top-K compressed with error feedback
+/// — SmartComp), runs the FPGA updater subgroup by subgroup over CSD-internal
+/// P2P (SmartUpdate) and streams the refreshed FP16 working copy back to host
+/// memory. One function does that per-shard work, a *lane*: write →
+/// compress/update → read-back. A step runs the lanes on one of two
+/// schedules:
+///
+/// * **In order** (the default): shards run one after another and the worker
+///   pool is lent to the kernels inside each lane (the Top-K selection and the
+///   CSD updater). This is the schedule that parallelises a run with fewer
+///   CSDs than worker threads.
+/// * **Overlapped** ([`SmartInfinityTrainer::with_pipelining`]): the lanes
+///   run concurrently on the pool, each lane's kernels serially, so the
+///   stages of different CSDs overlap instead of proceeding one global phase
+///   at a time (paper Sections IV-B/IV-D). Each step's [`StepReport`] carries
+///   a [`StageReport`]: the bytes the write, update and read-back stages
+///   moved and the number of lanes in flight.
+///
+/// The schedule never changes a result bit, for any worker-thread or device
+/// count: lanes touch disjoint state — their own [`CsdDevice`], their own
+/// residual, their own slice of the FP16 working copy — and every kernel is
+/// bit-identical for any executor. Without compression the result is also
+/// bit-identical to the host baseline,
+/// [`StorageOffloadTrainer`](crate::StorageOffloadTrainer).
+///
+/// Bad configuration is a [`TrainError::Config`], not a panic: the trainer is
+/// reached from user-facing configuration (`smart_infinity::Session`).
 #[derive(Debug)]
-pub struct PipelinedTrainer {
+pub struct SmartInfinityTrainer {
     csds: Vec<CsdDevice>,
     partitioner: Partitioner,
     optimizer: Optimizer,
     params_fp16: FlatTensor,
     compressor: Option<Compressor>,
     feedback: Vec<ErrorFeedback>,
-    // One gradient scratch buffer per lane, reused across steps.
+    // Gradient scratch buffers reused across steps: one per lane when the
+    // lanes overlap, only the first when shards run in order.
     scratch: Vec<FlatTensor>,
     subgroup_elems: usize,
     pool: ParExecutor,
+    // The executor lent to the kernels inside a lane: the pool when shards
+    // run in order, a serial one when the lanes themselves share the pool.
+    kernels: ParExecutor,
+    pipelined: bool,
     step: u64,
     fault_plan: Option<FaultPlan>,
 }
 
-impl PipelinedTrainer {
-    /// Creates a pipelined trainer: partitions the parameters across
-    /// `num_csds` CSDs and initialises the FP32 master copy and optimizer
-    /// states on each device.
+impl SmartInfinityTrainer {
+    /// Creates a trainer: partitions the parameters across `num_csds` CSDs and
+    /// initialises the FP32 master copy and zeroed optimizer states on each
+    /// device. Shards run in order on a serial executor until
+    /// [`SmartInfinityTrainer::with_threads`] or
+    /// [`SmartInfinityTrainer::with_pipelining`] says otherwise.
     ///
     /// # Errors
     ///
@@ -163,10 +131,20 @@ impl PipelinedTrainer {
         if subgroup_elems == 0 {
             return Err(TrainError::config("subgroup capacity must be positive"));
         }
-        let (partitioner, csds, feedback) =
-            init_csd_shards(initial_params, &optimizer, num_csds).map_err(TrainError::from)?;
+        let partitioner = Partitioner::contiguous(initial_params.len(), num_csds);
+        let mut csds = Vec::with_capacity(num_csds);
+        for shard in partitioner.shards() {
+            let mut csd =
+                CsdDevice::new(format!("csd{}", shard.device), u64::MAX / 4, u64::MAX / 4);
+            csd.store_initial_state(
+                "shard",
+                &initial_params.slice(shard.offset, shard.len),
+                &optimizer,
+            )?;
+            csds.push(csd);
+        }
+        let feedback = partitioner.shards().iter().map(|s| ErrorFeedback::new(s.len)).collect();
         let params_fp16 = FlatTensor::from_bytes(&initial_params.to_bytes(Dtype::F16), Dtype::F16);
-        let scratch = vec![FlatTensor::default(); num_csds];
         Ok(Self {
             csds,
             partitioner,
@@ -174,9 +152,11 @@ impl PipelinedTrainer {
             params_fp16,
             compressor: None,
             feedback,
-            scratch,
+            scratch: vec![FlatTensor::default(); num_csds],
             subgroup_elems,
             pool: ParExecutor::serial(),
+            kernels: ParExecutor::serial(),
+            pipelined: false,
             step: 0,
             fault_plan: None,
         })
@@ -219,7 +199,8 @@ impl PipelinedTrainer {
     }
 
     /// Enables SmartComp: each lane Top-K-compresses its shard's gradients
-    /// (with error feedback) before they cross the host interconnect.
+    /// (with error feedback) before they cross the host interconnect, and the
+    /// CSD decompressor expands them.
     ///
     /// # Errors
     ///
@@ -241,27 +222,44 @@ impl PipelinedTrainer {
         self
     }
 
-    /// Sets the number of host worker threads the pipeline lanes fan out
-    /// across. The *lanes* are the unit of parallelism: each lane's kernels
-    /// run serially inside it (fanning out twice would oversubscribe the
-    /// workers), and results are bit-identical for every thread count.
+    /// Sets the number of host worker threads. In order, they fan out the
+    /// kernels of each shard; overlapped, they run the lanes. Results are
+    /// bit-identical for every thread count.
     ///
     /// Lanes are scheduled by the default size-aware work-stealing executor:
     /// heavier shards are dealt first and idle workers steal queued lanes, so
-    /// one skewed shard does not serialize the pipeline. Use
-    /// [`PipelinedTrainer::with_executor`] to pin the schedule instead.
-    pub fn with_threads(mut self, num_threads: usize) -> Self {
-        self.pool = ParExecutor::new(num_threads);
+    /// one skewed shard does not serialize the step. Use
+    /// [`SmartInfinityTrainer::with_executor`] to pin the schedule instead.
+    pub fn with_threads(self, num_threads: usize) -> Self {
+        self.with_executor(ParExecutor::new(num_threads))
+    }
+
+    /// Sets the executor explicitly — e.g. [`ParExecutor::deterministic`] for
+    /// bit-equivalence suites that want the lane→worker schedule pinned as
+    /// well as the results (the results are identical in every mode
+    /// regardless).
+    pub fn with_executor(mut self, pool: ParExecutor) -> Self {
+        self.pool = pool;
+        self.lend_pool_to_kernels();
         self
     }
 
-    /// Sets the lane executor explicitly — e.g.
-    /// [`ParExecutor::deterministic`] for bit-equivalence suites that want
-    /// the lane→worker schedule pinned as well as the results (the results
-    /// are identical in every mode regardless).
-    pub fn with_executor(mut self, pool: ParExecutor) -> Self {
-        self.pool = pool;
+    /// Overlaps the lanes: they run concurrently on the worker pool, each
+    /// lane's kernels serially (fanning out twice would oversubscribe the
+    /// workers), and every step reports its [`StageReport`]. The timed
+    /// counterpart is `smart_infinity::SmartInfinityEngine::with_pipelining`.
+    #[must_use]
+    pub fn with_pipelining(mut self) -> Self {
+        self.pipelined = true;
+        self.lend_pool_to_kernels();
         self
+    }
+
+    fn lend_pool_to_kernels(&mut self) {
+        self.kernels = if self.pipelined { ParExecutor::serial() } else { self.pool };
+        for csd in &mut self.csds {
+            csd.set_threads(self.kernels.num_threads());
+        }
     }
 
     /// The host worker-thread count of the execution backend.
@@ -274,7 +272,7 @@ impl PipelinedTrainer {
         self.partitioner.total()
     }
 
-    /// Number of CSDs (pipeline lanes).
+    /// Number of CSDs (lanes).
     pub fn num_csds(&self) -> usize {
         self.csds.len()
     }
@@ -300,188 +298,198 @@ impl PipelinedTrainer {
     ///
     /// Returns a wrapped [`CsdError`] if a shard read fails.
     pub fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
-        Ok(reassemble_master_params(&mut self.csds, &self.partitioner)?)
+        let mut out = FlatTensor::zeros(self.partitioner.total());
+        for (csd, shard) in self.csds.iter_mut().zip(self.partitioner.shards()) {
+            if shard.len == 0 {
+                continue;
+            }
+            // Reassembly is maintenance traffic: it observes state rather than
+            // training, so it must neither fail on nor consume fault decisions.
+            csd.suspend_faults(true);
+            let result = csd.load_parameters("shard", 0, shard.len);
+            csd.suspend_faults(false);
+            out.write_slice(shard.offset, result?.as_slice());
+        }
+        Ok(out)
     }
 
     /// Aggregated CSD-internal P2P traffic statistics across all devices.
     pub fn aggregate_stats(&self) -> CsdTrafficStats {
-        aggregate_csd_stats(&self.csds)
+        let mut total = CsdTrafficStats::default();
+        for s in self.csds.iter().map(CsdDevice::stats) {
+            total.p2p_read_bytes += s.p2p_read_bytes;
+            total.p2p_write_bytes += s.p2p_write_bytes;
+            total.updates_run += s.updates_run;
+            total.elements_updated += s.elements_updated;
+        }
+        total
     }
 
-    /// Runs one pipelined training step with an explicitly provided dense
-    /// gradient. All lanes run concurrently on the worker pool; the returned
-    /// [`StepReport`] carries the per-stage byte telemetry in
-    /// [`StepReport::stages`].
+    /// Runs one training step with an explicitly provided dense gradient.
+    /// [`StepReport::gradient_bytes`] is the volume that crossed the host
+    /// interconnect (dense, or the index+value stream under SmartComp); the
+    /// storage counters are the CSD-internal P2P traffic; overlapped steps
+    /// add the per-stage split in [`StepReport::stages`].
     ///
     /// # Errors
     ///
-    /// Returns the lowest-indexed lane's error if any device operation fails
-    /// (deterministic regardless of scheduling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads.len()` differs from the number of parameters.
+    /// Returns [`TrainError::Config`] if `grads.len()` differs from the
+    /// number of parameters, and otherwise the lowest-indexed shard's error
+    /// if a device operation fails (deterministic regardless of scheduling).
     pub fn train_step_with_grads(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
-        assert_eq!(grads.len(), self.num_params(), "gradient length mismatch");
+        check_gradient_len(grads.len(), self.num_params())?;
         self.step += 1;
         self.trigger_scheduled_faults();
-        let step = self.step;
-        let optimizer = self.optimizer;
-        let subgroup_elems = self.subgroup_elems;
-        let compressor = self.compressor;
-        let max_retries = self.max_retries();
-
-        // Carve the step into lanes: shard i owns csds[i], feedback[i],
-        // scratch[i] and its contiguous slice of the FP16 working copy.
-        let shards = self.partitioner.shards().to_vec();
-        let mut lanes = Vec::with_capacity(shards.len());
-        let mut fp16_rest = self.params_fp16.as_mut_slice();
-        let mut csds = self.csds.iter_mut();
-        let mut feedback = self.feedback.iter_mut();
-        let mut scratch = self.scratch.iter_mut();
-        for shard in shards {
-            let (fp16_out, rest) = fp16_rest.split_at_mut(shard.len);
-            fp16_rest = rest;
-            lanes.push(Lane {
-                shard,
-                csd: csds.next().expect("one CSD per shard"),
-                feedback: feedback.next().expect("one residual per shard"),
-                scratch: scratch.next().expect("one scratch buffer per shard"),
-                fp16_out,
-            });
-        }
-        let active_lanes = lanes.iter().filter(|l| l.shard.len > 0).count();
-
-        // Cost-weighted dispatch: a lane's work is proportional to its shard
-        // size, so heavier shards are scheduled first (and stealable) rather
-        // than letting one skewed shard serialize the step.
-        let weights: Vec<usize> = lanes.iter().map(|l| l.shard.len).collect();
-        let results = self.pool.map_weighted(lanes, &weights, |_, lane| {
-            Self::run_lane(lane, grads, compressor, optimizer, subgroup_elems, step, max_retries)
-        });
-
-        let mut stages = StageReport {
-            lanes: self.pool.num_threads().min(active_lanes).max(1),
-            ..StageReport::default()
+        let inputs = StepInputs {
+            grads,
+            compressor: self.compressor,
+            optimizer: self.optimizer,
+            subgroup_elems: self.subgroup_elems,
+            step: self.step,
+            max_retries: self.max_retries(),
         };
-        let mut kept = 0u64;
-        let mut storage_bytes_read = 0u64;
-        let mut storage_bytes_written = 0u64;
-        let mut degraded = DegradedReport::default();
-        for result in results {
-            let lane = result.map_err(TrainError::from)?;
-            stages.write_bytes += lane.write_bytes;
-            stages.update_bytes += lane.update_read_bytes + lane.update_write_bytes;
-            stages.read_back_bytes += lane.read_back_bytes;
-            storage_bytes_read += lane.update_read_bytes;
-            storage_bytes_written += lane.update_write_bytes;
-            kept += lane.kept;
-            degraded.absorb(&lane.degraded);
-        }
+
+        // Carve the step into lanes: shard i owns csds[i], feedback[i] and its
+        // contiguous slice of the FP16 working copy.
+        let mut fp16_rest = self.params_fp16.as_mut_slice();
+        let lanes =
+            self.partitioner.shards().iter().zip(&mut self.csds).zip(&mut self.feedback).map(
+                move |((&shard, csd), feedback)| {
+                    let (fp16_out, rest) = std::mem::take(&mut fp16_rest).split_at_mut(shard.len);
+                    fp16_rest = rest;
+                    Lane { shard, csd, feedback, fp16_out }
+                },
+            );
+        let mut total = LaneReport::default();
+        let stages = if self.pipelined {
+            // Cost-weighted dispatch: a lane's work is proportional to its
+            // shard size, so heavier shards are scheduled first (and
+            // stealable) rather than letting one skewed shard serialize the
+            // step.
+            let lanes: Vec<_> = lanes.zip(&mut self.scratch).collect();
+            let weights: Vec<usize> = lanes.iter().map(|(lane, _)| lane.shard.len).collect();
+            let active_lanes = weights.iter().filter(|&&len| len > 0).count();
+            let kernels = &self.kernels;
+            let results = self.pool.map_weighted(lanes, &weights, |_, (lane, scratch)| {
+                run_lane(lane, scratch, kernels, &inputs)
+            });
+            for lane in results {
+                total.absorb(&lane?);
+            }
+            Some(StageReport {
+                write_bytes: total.write_bytes,
+                update_bytes: total.update_read_bytes + total.update_write_bytes,
+                read_back_bytes: total.read_back_bytes,
+                lanes: self.pool.num_threads().min(active_lanes).max(1),
+            })
+        } else {
+            let scratch = &mut self.scratch[0];
+            for lane in lanes {
+                total.absorb(&run_lane(lane, scratch, &self.kernels, &inputs)?);
+            }
+            None
+        };
         Ok(StepReport {
-            step,
-            gradient_bytes: stages.write_bytes,
-            storage_bytes_read,
-            storage_bytes_written,
-            compression_kept: compressor.map(|_| kept),
+            step: self.step,
+            gradient_bytes: total.write_bytes,
+            storage_bytes_read: total.update_read_bytes,
+            storage_bytes_written: total.update_write_bytes,
+            compression_kept: self.compressor.map(|_| total.kept),
             threads: self.pool.num_threads(),
             kernel_path: tensorlib::KernelPath::active(),
-            stages: Some(stages),
-            degraded: degraded.into_option(),
-        })
-    }
-
-    /// One lane's trip through the pipeline: write → compress/update →
-    /// read-back, entirely on this lane's own device state.
-    fn run_lane(
-        lane: Lane<'_>,
-        grads: &FlatTensor,
-        compressor: Option<Compressor>,
-        optimizer: Optimizer,
-        subgroup_elems: usize,
-        step: u64,
-        max_retries: u32,
-    ) -> Result<LaneReport, CsdError> {
-        let Lane { shard, csd, feedback, scratch, fp16_out } = lane;
-        if shard.len == 0 {
-            return Ok(LaneReport::default());
-        }
-        let before = csd.stats();
-        // Recovery is lane-local: each lane owns its device, so retry and
-        // rebuild decisions are deterministic regardless of how the lanes are
-        // scheduled across worker threads.
-        let mut deg = DegradedReport::default();
-
-        // Stage 1 — write: the shard's gradient crosses the host interconnect
-        // downstream, dense or as the Top-K stream (identical math to the
-        // serial trainer: error feedback, then a selection that is
-        // bit-identical for any executor).
-        grads.slice_into(shard.offset, shard.len, scratch);
-        let compressed = match &compressor {
-            None => None,
-            Some(c) => {
-                feedback.apply_in_place(scratch);
-                let compressed = c.try_compress(scratch)?;
-                feedback.update(scratch, &compressed);
-                Some(compressed)
-            }
-        };
-        let (write_bytes, kept) = match &compressed {
-            None => (4 * shard.len as u64, 0),
-            Some(c) => (c.compressed_bytes() as u64, c.num_selected() as u64),
-        };
-        if compressed.is_none() {
-            // Whole-region gradient writes are idempotent, so the recovery
-            // wrapper may retry them freely.
-            recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                csd.store_gradients("shard", scratch)
-            })?;
-        }
-
-        // Stage 2 — update: subgroup-by-subgroup near-storage optimizer step
-        // over CSD-internal P2P. Transient faults are cleared *inside* the
-        // device (a half-written subgroup must never be recomputed from
-        // already-updated state); the wrapper here only handles dead devices,
-        // whose first failing operation precedes any write-back.
-        for subgroup in Chunker::new(shard.len, subgroup_elems).subgroups() {
-            recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-                csd.update_subgroup(SubgroupUpdate {
-                    shard: "shard",
-                    offset: subgroup.offset,
-                    len: subgroup.len,
-                    optimizer,
-                    step,
-                    compressed: compressed.as_ref(),
-                })
-            })?;
-        }
-
-        // Stage 3 — read-back: the refreshed FP16 working copy returns to
-        // host memory, rounded straight into this lane's output slice.
-        let updated = recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
-            csd.load_parameters("shard", 0, shard.len)
-        })?;
-        updated.roundtrip_f16_into(fp16_out);
-
-        // Fold the device-internal transient retries into the lane's report.
-        let (retries, backoff_ms) = csd.take_fault_events();
-        deg.transient_faults += retries;
-        deg.retries += retries;
-        deg.backoff_ms += backoff_ms;
-
-        let after = csd.stats();
-        Ok(LaneReport {
-            write_bytes,
-            kept,
-            update_read_bytes: after.p2p_read_bytes - before.p2p_read_bytes,
-            update_write_bytes: after.p2p_write_bytes - before.p2p_write_bytes,
-            read_back_bytes: 2 * shard.len as u64,
-            degraded: deg,
+            stages,
+            degraded: total.degraded.into_option(),
         })
     }
 }
 
-impl Trainer for PipelinedTrainer {
+/// One lane's trip through the stages, entirely on the lane's own device
+/// state: write → compress/update → read-back. `kernels` is the executor the
+/// Top-K selection may fan out on (the CSD updater uses the device's own).
+fn run_lane(
+    lane: Lane<'_>,
+    scratch: &mut FlatTensor,
+    kernels: &ParExecutor,
+    inputs: &StepInputs<'_>,
+) -> Result<LaneReport, CsdError> {
+    let Lane { shard, csd, feedback, fp16_out } = lane;
+    if shard.len == 0 {
+        return Ok(LaneReport::default());
+    }
+    let before = csd.stats();
+    // Recovery is lane-local: each lane owns its device, so retry and rebuild
+    // decisions are deterministic regardless of how the lanes are scheduled.
+    let max_retries = inputs.max_retries;
+    let mut deg = DegradedReport::default();
+
+    // Stage 1 — write: the shard's gradient crosses the host interconnect
+    // downstream, dense or as the Top-K stream (error feedback, then a
+    // selection that is bit-identical for any executor).
+    inputs.grads.slice_into(shard.offset, shard.len, scratch);
+    let compressed = match &inputs.compressor {
+        None => None,
+        Some(c) => {
+            feedback.apply_in_place(scratch);
+            let compressed = c.try_compress_par(scratch, kernels)?;
+            feedback.update(scratch, &compressed);
+            Some(compressed)
+        }
+    };
+    let (write_bytes, kept) = match &compressed {
+        None => (4 * shard.len as u64, 0),
+        Some(c) => (c.compressed_bytes() as u64, c.num_selected() as u64),
+    };
+    if compressed.is_none() {
+        // Dense gradients land on the owner CSD's SSD. Whole-region writes
+        // are idempotent, so the recovery wrapper may retry them freely.
+        recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+            csd.store_gradients("shard", scratch)
+        })?;
+    }
+
+    // Stage 2 — update: subgroup-by-subgroup near-storage optimizer step over
+    // CSD-internal P2P. Transient faults are cleared *inside* the device (a
+    // half-written subgroup must never be recomputed from already-updated
+    // state); the wrapper here only handles dead devices, whose first failing
+    // operation precedes any write-back.
+    for subgroup in Chunker::new(shard.len, inputs.subgroup_elems).subgroups() {
+        recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+            csd.update_subgroup(SubgroupUpdate {
+                shard: "shard",
+                offset: subgroup.offset,
+                len: subgroup.len,
+                optimizer: inputs.optimizer,
+                step: inputs.step,
+                compressed: compressed.as_ref(),
+            })
+        })?;
+    }
+
+    // Stage 3 — read-back: the refreshed FP16 working copy returns to host
+    // memory, rounded straight into this lane's output slice.
+    let updated = recover(max_retries, &mut deg, csd, CsdDevice::rebuild, |csd| {
+        csd.load_parameters("shard", 0, shard.len)
+    })?;
+    updated.roundtrip_f16_into(fp16_out);
+
+    // Fold the device-internal transient retries into the lane's report.
+    let (retries, backoff_ms) = csd.take_fault_events();
+    deg.transient_faults += retries;
+    deg.retries += retries;
+    deg.backoff_ms += backoff_ms;
+
+    let after = csd.stats();
+    Ok(LaneReport {
+        write_bytes,
+        kept,
+        update_read_bytes: after.p2p_read_bytes - before.p2p_read_bytes,
+        update_write_bytes: after.p2p_write_bytes - before.p2p_write_bytes,
+        read_back_bytes: 2 * shard.len as u64,
+        degraded: deg,
+    })
+}
+
+impl Trainer for SmartInfinityTrainer {
     fn step(&mut self, grads: &FlatTensor) -> Result<StepReport, TrainError> {
         self.train_step_with_grads(grads)
     }
@@ -491,13 +499,12 @@ impl Trainer for PipelinedTrainer {
     }
 
     fn master_params(&mut self) -> Result<FlatTensor, TrainError> {
-        PipelinedTrainer::master_params(self)
+        SmartInfinityTrainer::master_params(self)
     }
 
     fn steps_completed(&self) -> u64 {
         self.step
     }
-
     fn checkpoint(&mut self) -> Result<TrainerCheckpoint, TrainError> {
         let retries = self.max_retries();
         let num_aux = self.optimizer.kind().num_aux();
@@ -592,30 +599,44 @@ mod tests {
     use super::*;
     use crate::functional::{StorageOffloadTrainer, SyntheticGradients};
 
+    /// Both schedules: `false` runs the shards in order, `true` overlaps them.
+    const SCHEDULES: [bool; 2] = [false, true];
+
+    fn scheduled(trainer: SmartInfinityTrainer, pipelined: bool) -> SmartInfinityTrainer {
+        if pipelined {
+            trainer.with_pipelining()
+        } else {
+            trainer
+        }
+    }
+
     #[test]
     fn pipelined_is_bit_identical_to_the_host_baseline() {
         // Without compression the near-storage update is numerically the
-        // baseline update, so the pipelined backend must match it bit for bit.
+        // baseline update, so both schedules must match it bit for bit.
         let n = 5000;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 1);
-        let mut baseline = StorageOffloadTrainer::new(&initial, optimizer, 2, 1024).unwrap();
-        let mut pipelined =
-            PipelinedTrainer::new(&initial, optimizer, 3, 700).unwrap().with_threads(4);
-        for step in 0..4u64 {
-            let grads = FlatTensor::randn(n, 0.01, 100 + step);
-            baseline.train_step_with_grads(&grads).unwrap();
-            pipelined.train_step_with_grads(&grads).unwrap();
+        for (pipelined, threads) in [(false, 1), (true, 4)] {
+            let mut baseline = StorageOffloadTrainer::new(&initial, optimizer, 2, 1024).unwrap();
+            let mut smart = SmartInfinityTrainer::new(&initial, optimizer, 3, 700).unwrap();
+            smart = scheduled(smart, pipelined).with_threads(threads);
+            for step in 0..4u64 {
+                let grads = FlatTensor::randn(n, 0.01, 100 + step);
+                baseline.train_step_with_grads(&grads).unwrap();
+                smart.train_step_with_grads(&grads).unwrap();
+            }
+            assert_eq!(
+                smart.master_params().unwrap().as_slice(),
+                baseline.master_params().unwrap().as_slice(),
+                "pipelined={pipelined}"
+            );
+            assert_eq!(smart.params_fp16().as_slice(), baseline.params_fp16().as_slice());
+            assert_eq!(smart.steps_completed(), 4);
+            assert_eq!(smart.num_csds(), 3);
+            assert_eq!(smart.num_params(), n);
+            assert!(!smart.is_compressed());
         }
-        assert_eq!(
-            pipelined.master_params().unwrap().as_slice(),
-            baseline.master_params().unwrap().as_slice()
-        );
-        assert_eq!(pipelined.params_fp16().as_slice(), baseline.params_fp16().as_slice());
-        assert_eq!(pipelined.steps_completed(), 4);
-        assert_eq!(pipelined.num_csds(), 3);
-        assert_eq!(pipelined.num_params(), n);
-        assert!(!pipelined.is_compressed());
     }
 
     #[test]
@@ -623,12 +644,12 @@ mod tests {
         let n = 4000;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 7);
-        let run = |threads: usize, keep: Option<f64>| {
-            let mut t = PipelinedTrainer::new(&initial, optimizer, 3, 600).unwrap();
+        let run = |pipelined: bool, threads: usize, keep: Option<f64>| {
+            let mut t = SmartInfinityTrainer::new(&initial, optimizer, 3, 600).unwrap();
             if let Some(k) = keep {
                 t = t.with_compression(k).unwrap();
             }
-            t = t.with_threads(threads);
+            t = scheduled(t, pipelined).with_threads(threads);
             assert_eq!(t.num_threads(), threads.max(1));
             let mut source = SyntheticGradients::new(n, 0.01, 55);
             let mut last = StepReport::default();
@@ -638,36 +659,76 @@ mod tests {
             (t.master_params().unwrap(), t.params_fp16().clone(), last)
         };
         for keep in [None, Some(0.05)] {
-            let (serial_master, serial_fp16, serial_report) = run(1, keep);
-            for threads in [2usize, 4, 7] {
-                let (master, fp16, report) = run(threads, keep);
-                assert_eq!(master.as_slice(), serial_master.as_slice(), "{keep:?} t={threads}");
-                assert_eq!(fp16.as_slice(), serial_fp16.as_slice(), "{keep:?} t={threads}");
-                // Telemetry: identical bytes, different lane concurrency.
-                let (s, r) = (serial_report.stages.unwrap(), report.stages.unwrap());
-                assert_eq!(s.write_bytes, r.write_bytes);
-                assert_eq!(s.update_bytes, r.update_bytes);
-                assert_eq!(s.read_back_bytes, r.read_back_bytes);
-                assert_eq!(s.lanes, 1);
-                assert_eq!(r.lanes, threads.min(3));
-                assert_eq!(report.threads, threads);
+            let (serial_master, serial_fp16, in_order_report) = run(false, 1, keep);
+            assert_eq!(in_order_report.stages, None, "shards in order report no stages");
+            for pipelined in SCHEDULES {
+                let (_, _, serial_report) = run(pipelined, 1, keep);
+                for threads in [2usize, 4, 7] {
+                    let (master, fp16, report) = run(pipelined, threads, keep);
+                    let at = format!("{keep:?} pipelined={pipelined} t={threads}");
+                    assert_eq!(master.as_slice(), serial_master.as_slice(), "{at}");
+                    assert_eq!(fp16.as_slice(), serial_fp16.as_slice(), "{at}");
+                    assert_eq!(report.threads, threads);
+                    assert_eq!(report.gradient_bytes, in_order_report.gradient_bytes, "{at}");
+                    assert_eq!(report.storage_bytes_read, in_order_report.storage_bytes_read);
+                    assert_eq!(report.compression_kept, in_order_report.compression_kept);
+                    if !pipelined {
+                        assert_eq!(report.stages, None, "{at}");
+                        continue;
+                    }
+                    // Telemetry: identical bytes, different lane concurrency.
+                    let (s, r) = (serial_report.stages.unwrap(), report.stages.unwrap());
+                    assert_eq!(s.write_bytes, r.write_bytes);
+                    assert_eq!(s.update_bytes, r.update_bytes);
+                    assert_eq!(s.read_back_bytes, r.read_back_bytes);
+                    assert_eq!(s.lanes, 1);
+                    assert_eq!(r.lanes, threads.min(3));
+                }
             }
         }
     }
 
     #[test]
+    fn threads_and_pipelining_give_the_same_trainer_in_either_order() {
+        let n = 3000;
+        let optimizer = Optimizer::adam_default();
+        let initial = FlatTensor::randn(n, 0.05, 11);
+        let new = || SmartInfinityTrainer::new(&initial, optimizer, 3, 400).unwrap();
+        let run = |mut t: SmartInfinityTrainer| {
+            // Overlapped lanes keep their kernels serial.
+            assert!(t.csds.iter().all(|csd| csd.executor().num_threads() == 1));
+            let mut source = SyntheticGradients::new(n, 0.01, 12);
+            let reports: Vec<StepReport> =
+                (0..2).map(|_| t.step_from(&mut source).unwrap()).collect();
+            (t.num_threads(), reports, t.master_params().unwrap(), t.params_fp16().clone())
+        };
+        let threads_first = run(new().with_threads(3).with_pipelining());
+        let pipelining_first = run(new().with_pipelining().with_threads(3));
+        assert_eq!(threads_first.0, 3);
+        assert_eq!(threads_first.1[0].stages.map(|s| s.lanes), Some(3));
+        assert_eq!(threads_first.0, pipelining_first.0);
+        assert_eq!(threads_first.1, pipelining_first.1);
+        assert_eq!(threads_first.2.as_slice(), pipelining_first.2.as_slice());
+        assert_eq!(threads_first.3.as_slice(), pipelining_first.3.as_slice());
+        // In order, the pool is lent to the kernels instead.
+        let in_order = new().with_threads(3);
+        assert!(in_order.csds.iter().all(|csd| csd.executor().num_threads() == 3));
+    }
+
+    #[test]
     fn work_stealing_matches_the_deterministic_schedule_bit_for_bit() {
-        // Same trainer, same gradients, every thread count, both scheduling
-        // modes — the master copy and FP16 working copy must agree exactly.
+        // Same trainer, same gradients, every thread count, both executor
+        // modes and both schedules — the master copy and FP16 working copy
+        // must agree exactly.
         let n = 4000;
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 21);
-        let run = |pool: ParExecutor| {
-            let mut t = PipelinedTrainer::new(&initial, optimizer, 4, 600)
+        let run = |pipelined: bool, pool: ParExecutor| {
+            let t = SmartInfinityTrainer::new(&initial, optimizer, 4, 600)
                 .unwrap()
                 .with_compression(0.05)
-                .unwrap()
-                .with_executor(pool);
+                .unwrap();
+            let mut t = scheduled(t, pipelined).with_executor(pool);
             let mut source = SyntheticGradients::new(n, 0.01, 99);
             let mut last = StepReport::default();
             for _ in 0..3 {
@@ -675,24 +736,18 @@ mod tests {
             }
             (t.master_params().unwrap(), t.params_fp16().clone(), last)
         };
-        let (ref_master, ref_fp16, _) = run(ParExecutor::deterministic(1));
-        for threads in [1usize, 2, 4, 7] {
-            for pool in [ParExecutor::new(threads), ParExecutor::deterministic(threads)] {
-                let (master, fp16, report) = run(pool);
-                assert_eq!(
-                    master.as_slice(),
-                    ref_master.as_slice(),
-                    "master diverged: threads={threads} mode={:?}",
-                    pool.mode()
-                );
-                assert_eq!(
-                    fp16.as_slice(),
-                    ref_fp16.as_slice(),
-                    "fp16 diverged: threads={threads} mode={:?}",
-                    pool.mode()
-                );
-                // The report pins the runtime-detected SIMD path either way.
-                assert_eq!(report.kernel_path, tensorlib::KernelPath::active());
+        let (ref_master, ref_fp16, _) = run(true, ParExecutor::deterministic(1));
+        for pipelined in SCHEDULES {
+            for threads in [1usize, 2, 4, 7] {
+                for pool in [ParExecutor::new(threads), ParExecutor::deterministic(threads)] {
+                    let (master, fp16, report) = run(pipelined, pool);
+                    let at =
+                        format!("pipelined={pipelined} threads={threads} mode={:?}", pool.mode());
+                    assert_eq!(master.as_slice(), ref_master.as_slice(), "master diverged: {at}");
+                    assert_eq!(fp16.as_slice(), ref_fp16.as_slice(), "fp16 diverged: {at}");
+                    // The report pins the runtime-detected SIMD path either way.
+                    assert_eq!(report.kernel_path, tensorlib::KernelPath::active());
+                }
             }
         }
     }
@@ -701,46 +756,66 @@ mod tests {
     fn stage_telemetry_matches_the_analytic_accounting() {
         let n = 6000;
         let optimizer = Optimizer::adam_default();
-        let mut t = PipelinedTrainer::new(&FlatTensor::zeros(n), optimizer, 3, 1000)
-            .unwrap()
-            .with_threads(2);
-        let report = t.train_step_with_grads(&FlatTensor::zeros(n)).unwrap();
-        let stages = report.stages.expect("pipelined steps report stages");
-        assert!(report.is_pipelined());
-        // Dense Adam: 4n gradient down, 16n read + 12n written internally,
-        // 2n FP16 up.
-        assert_eq!(stages.write_bytes, 4 * n as u64);
-        assert_eq!(stages.update_bytes, 28 * n as u64);
-        assert_eq!(stages.read_back_bytes, 2 * n as u64);
-        assert_eq!(stages.total_bytes(), 34 * n as u64);
-        assert!(stages.is_overlapped());
-        assert_eq!(stages.lanes, 2);
-        // The flat counters agree with the stage split.
-        assert_eq!(report.gradient_bytes, stages.write_bytes);
-        assert_eq!(report.storage_bytes_total(), stages.update_bytes);
-        let stats = t.aggregate_stats();
-        assert_eq!(stats.elements_updated, n as u64);
-        assert_eq!(stats.updates_run, 6); // 3 shards x 2 subgroups
+        for pipelined in SCHEDULES {
+            let t = SmartInfinityTrainer::new(&FlatTensor::zeros(n), optimizer, 3, 1000).unwrap();
+            let mut t = scheduled(t, pipelined).with_threads(2);
+            let report = t.train_step_with_grads(&FlatTensor::zeros(n)).unwrap();
+            // Dense Adam: 4n gradient down, 16n read + 12n written
+            // internally, 2n FP16 up.
+            assert_eq!(report.gradient_bytes, 4 * n as u64);
+            assert_eq!(report.storage_bytes_read, 16 * n as u64);
+            assert_eq!(report.storage_bytes_written, 12 * n as u64);
+            let stats = t.aggregate_stats();
+            assert_eq!(stats.p2p_read_bytes, 16 * n as u64);
+            assert_eq!(stats.p2p_write_bytes, 12 * n as u64);
+            assert_eq!(stats.elements_updated, n as u64);
+            assert_eq!(stats.updates_run, 6); // 3 shards x 2 subgroups
+            assert_eq!(report.is_pipelined(), pipelined);
+            let Some(stages) = report.stages else { continue };
+            assert_eq!(stages.write_bytes, 4 * n as u64);
+            assert_eq!(stages.update_bytes, 28 * n as u64);
+            assert_eq!(stages.read_back_bytes, 2 * n as u64);
+            assert_eq!(stages.total_bytes(), 34 * n as u64);
+            assert!(stages.is_overlapped());
+            assert_eq!(stages.lanes, 2);
+            // The flat counters agree with the stage split.
+            assert_eq!(report.gradient_bytes, stages.write_bytes);
+            assert_eq!(report.storage_bytes_total(), stages.update_bytes);
+        }
     }
 
     #[test]
     fn invalid_configuration_is_an_error_not_a_panic() {
         let initial = FlatTensor::zeros(16);
         let optimizer = Optimizer::adam_default();
-        let e = PipelinedTrainer::new(&initial, optimizer, 0, 8).unwrap_err();
-        assert!(matches!(e, TrainError::Config { .. }), "{e}");
-        let e = PipelinedTrainer::new(&initial, optimizer, 2, 0).unwrap_err();
-        assert!(matches!(e, TrainError::Config { .. }), "{e}");
-        let e = PipelinedTrainer::new(&initial, optimizer, 2, 8)
+        let is_config = |e: TrainError| assert!(matches!(e, TrainError::Config { .. }), "{e}");
+        is_config(SmartInfinityTrainer::new(&initial, optimizer, 0, 8).unwrap_err());
+        is_config(SmartInfinityTrainer::new(&initial, optimizer, 2, 0).unwrap_err());
+        let e = SmartInfinityTrainer::new(&initial, optimizer, 2, 8)
             .unwrap()
             .with_compression(0.0)
             .unwrap_err();
-        assert!(matches!(e, TrainError::Config { .. }), "{e}");
-        let e = PipelinedTrainer::new(&initial, optimizer, 2, 8)
+        is_config(e);
+        let e = SmartInfinityTrainer::new(&initial, optimizer, 2, 8)
             .unwrap()
             .with_compression(1.5)
             .unwrap_err();
         assert!(e.to_string().contains("keep ratio"), "{e}");
+        // A gradient of the wrong length, through `step` and `step_from`, on
+        // both schedules and on the host baseline.
+        let short = FlatTensor::zeros(5);
+        let mut trainers: Vec<Box<dyn Trainer>> =
+            vec![Box::new(StorageOffloadTrainer::new(&initial, optimizer, 1, 10).unwrap())];
+        for pipelined in SCHEDULES {
+            let t = SmartInfinityTrainer::new(&initial, optimizer, 1, 10).unwrap();
+            trainers.push(Box::new(scheduled(t, pipelined)));
+        }
+        for t in &mut trainers {
+            let e = t.step(&short).unwrap_err();
+            assert!(e.to_string().contains("gradient length mismatch"), "{e}");
+            is_config(t.step_from(&mut SyntheticGradients::new(5, 0.01, 1)).unwrap_err());
+            assert_eq!(t.steps_completed(), 0, "a rejected step must not count");
+        }
     }
 
     #[test]
@@ -750,8 +825,11 @@ mod tests {
         let initial = FlatTensor::randn(3, 0.05, 3);
         let grads = FlatTensor::randn(3, 0.01, 4);
         let optimizer = Optimizer::adam_default();
-        let mut wide = PipelinedTrainer::new(&initial, optimizer, 7, 4).unwrap().with_threads(4);
-        let mut narrow = PipelinedTrainer::new(&initial, optimizer, 1, 4).unwrap();
+        let mut wide = SmartInfinityTrainer::new(&initial, optimizer, 7, 4)
+            .unwrap()
+            .with_pipelining()
+            .with_threads(4);
+        let mut narrow = SmartInfinityTrainer::new(&initial, optimizer, 1, 4).unwrap();
         let report = wide.train_step_with_grads(&grads).unwrap();
         narrow.train_step_with_grads(&grads).unwrap();
         assert_eq!(
@@ -775,38 +853,49 @@ mod tests {
                 s
             })
         };
-        let run = |threads: usize, faults: bool, keep: Option<f64>| {
-            let mut t = PipelinedTrainer::new(&initial, optimizer, 3, 500).unwrap();
+        let run = |pipelined: bool, threads: usize, faults: bool, keep: Option<f64>| {
+            let mut t = SmartInfinityTrainer::new(&initial, optimizer, 3, 500).unwrap();
             if let Some(k) = keep {
                 t = t.with_compression(k).unwrap();
             }
-            t = t.with_threads(threads);
+            t = scheduled(t, pipelined).with_threads(threads);
             if faults {
                 t = t.with_fault_plan(plan());
             }
             let mut degraded_steps = 0;
+            let mut deg = DegradedReport::default();
             for step in 0..4u64 {
                 let grads = FlatTensor::randn(n, 0.01, 300 + step);
                 let report = t.train_step_with_grads(&grads).unwrap();
-                if report.is_degraded() {
+                if let Some(d) = &report.degraded {
                     degraded_steps += 1;
+                    deg.absorb(d);
                 }
             }
-            (t.master_params().unwrap(), t.params_fp16().clone(), degraded_steps)
+            (t.master_params().unwrap(), t.params_fp16().clone(), degraded_steps, deg)
         };
         for keep in [None, Some(0.05)] {
-            let (clean_master, clean_fp16, clean_degraded) = run(1, false, keep);
+            let (clean_master, clean_fp16, clean_degraded, _) = run(false, 1, false, keep);
             assert_eq!(clean_degraded, 0);
-            let (faulty_master, faulty_fp16, faulty_degraded) = run(1, true, keep);
+            let (faulty_master, faulty_fp16, faulty_degraded, faulty_deg) =
+                run(false, 1, true, keep);
             assert!(faulty_degraded > 0, "scheduled wear-out and dropout must fire");
+            assert!(faulty_deg.transient_faults > 0, "120‰ must fire at least once");
+            assert_eq!(faulty_deg.devices_rebuilt, 2, "one wear-out plus one dropout");
+            assert!(faulty_deg.rebuild_bytes > 0);
             assert_eq!(faulty_master.as_slice(), clean_master.as_slice(), "{keep:?}");
             assert_eq!(faulty_fp16.as_slice(), clean_fp16.as_slice(), "{keep:?}");
-            // Fault recovery is deterministic across thread counts too.
-            for threads in [2usize, 4] {
-                let (master, fp16, degraded) = run(threads, true, keep);
-                assert_eq!(master.as_slice(), clean_master.as_slice(), "{keep:?} t={threads}");
-                assert_eq!(fp16.as_slice(), clean_fp16.as_slice(), "{keep:?} t={threads}");
-                assert_eq!(degraded, faulty_degraded, "{keep:?} t={threads}");
+            // Fault recovery is deterministic across schedules and thread
+            // counts too.
+            for pipelined in SCHEDULES {
+                for threads in [1usize, 2, 4] {
+                    let (master, fp16, degraded, deg) = run(pipelined, threads, true, keep);
+                    let at = format!("{keep:?} pipelined={pipelined} t={threads}");
+                    assert_eq!(master.as_slice(), clean_master.as_slice(), "{at}");
+                    assert_eq!(fp16.as_slice(), clean_fp16.as_slice(), "{at}");
+                    assert_eq!(degraded, faulty_degraded, "{at}");
+                    assert_eq!(deg, faulty_deg, "{at}");
+                }
             }
         }
     }
@@ -817,78 +906,77 @@ mod tests {
         let optimizer = Optimizer::adam_default();
         let initial = FlatTensor::randn(n, 0.05, 41);
         let grads: Vec<FlatTensor> = (0..6).map(|s| FlatTensor::randn(n, 0.01, 400 + s)).collect();
-        let make = |csds: usize| {
-            PipelinedTrainer::new(&initial, optimizer, csds, 500)
-                .unwrap()
-                .with_compression(0.05)
-                .unwrap()
-                .with_threads(2)
+        let make_plain = |csds: usize, pipelined: bool| {
+            let t = SmartInfinityTrainer::new(&initial, optimizer, csds, 500).unwrap();
+            scheduled(t, pipelined).with_threads(2)
         };
+        let make = |csds: usize, pipelined: bool| {
+            make_plain(csds, pipelined).with_compression(0.05).unwrap()
+        };
+        for pipelined in SCHEDULES {
+            let mut straight = make(3, pipelined);
+            for g in &grads {
+                straight.train_step_with_grads(g).unwrap();
+            }
 
-        let mut straight = make(3);
-        for g in &grads {
-            straight.train_step_with_grads(g).unwrap();
-        }
+            let mut first = make(3, pipelined);
+            for g in &grads[..3] {
+                first.train_step_with_grads(g).unwrap();
+            }
+            let ckpt = Trainer::checkpoint(&mut first).unwrap();
+            assert_eq!(ckpt.step, 3);
+            assert!(!ckpt.residual_bits.is_empty(), "compression must checkpoint its residuals");
+            let json = ckpt.to_json().unwrap();
+            let parsed = TrainerCheckpoint::from_json(&json).unwrap();
 
-        let mut first = make(3);
-        for g in &grads[..3] {
-            first.train_step_with_grads(g).unwrap();
-        }
-        let ckpt = Trainer::checkpoint(&mut first).unwrap();
-        assert_eq!(ckpt.step, 3);
-        assert!(!ckpt.residual_bits.is_empty(), "compression must checkpoint its residuals");
-        let json = ckpt.to_json().unwrap();
-        let parsed = TrainerCheckpoint::from_json(&json).unwrap();
+            // Resume on the same fleet shape, under the other schedule. Top-K
+            // selection happens per shard, so under compression the shard
+            // boundaries participate in the numbers; only an uncompressed
+            // checkpoint is portable across device counts (exercised below).
+            let mut resumed = make(3, !pipelined);
+            Trainer::restore(&mut resumed, &parsed).unwrap();
+            assert_eq!(resumed.steps_completed(), 3);
+            for g in &grads[3..] {
+                resumed.train_step_with_grads(g).unwrap();
+            }
+            assert_eq!(
+                resumed.master_params().unwrap().as_slice(),
+                straight.master_params().unwrap().as_slice(),
+                "pipelined={pipelined}"
+            );
+            assert_eq!(resumed.params_fp16().as_slice(), straight.params_fp16().as_slice());
 
-        // Resume on the same fleet shape. Top-K selection happens per shard,
-        // so under compression the shard boundaries participate in the
-        // numbers; only an uncompressed checkpoint is portable across device
-        // counts (exercised below).
-        let mut resumed = make(3);
-        Trainer::restore(&mut resumed, &parsed).unwrap();
-        assert_eq!(resumed.steps_completed(), 3);
-        for g in &grads[3..] {
-            resumed.train_step_with_grads(g).unwrap();
-        }
-        assert_eq!(
-            resumed.master_params().unwrap().as_slice(),
-            straight.master_params().unwrap().as_slice()
-        );
-        assert_eq!(resumed.params_fp16().as_slice(), straight.params_fp16().as_slice());
+            // Without compression the checkpoint is a global tensor snapshot
+            // and the elementwise optimizer is shard-agnostic, so a resume may
+            // change the device count: 3 CSDs checkpointed, 4 CSDs resumed.
+            let mut plain_straight = make_plain(3, pipelined);
+            let mut plain_first = make_plain(3, pipelined);
+            for g in &grads {
+                plain_straight.train_step_with_grads(g).unwrap();
+            }
+            for g in &grads[..3] {
+                plain_first.train_step_with_grads(g).unwrap();
+            }
+            let plain_ckpt = Trainer::checkpoint(&mut plain_first).unwrap();
+            assert!(plain_ckpt.residual_bits.is_empty());
+            let mut plain_resumed = make_plain(4, pipelined);
+            Trainer::restore(&mut plain_resumed, &plain_ckpt).unwrap();
+            for g in &grads[3..] {
+                plain_resumed.train_step_with_grads(g).unwrap();
+            }
+            assert_eq!(
+                plain_resumed.master_params().unwrap().as_slice(),
+                plain_straight.master_params().unwrap().as_slice()
+            );
 
-        // Without compression the checkpoint is a global tensor snapshot and
-        // the elementwise optimizer is shard-agnostic, so a resume may change
-        // the device count: 3 CSDs checkpointed, 4 CSDs resumed.
-        let make_plain =
-            |csds: usize| PipelinedTrainer::new(&initial, optimizer, csds, 500).unwrap();
-        let mut plain_straight = make_plain(3);
-        let mut plain_first = make_plain(3);
-        for g in &grads {
-            plain_straight.train_step_with_grads(g).unwrap();
+            // Residual/compression mismatches are rejected.
+            let err = Trainer::restore(&mut make_plain(2, pipelined), &parsed).unwrap_err();
+            assert!(err.to_string().contains("residuals"), "{err}");
+            let mut no_residuals = parsed.clone();
+            no_residuals.residual_bits = Vec::new();
+            let err = Trainer::restore(&mut make(2, pipelined), &no_residuals).unwrap_err();
+            assert!(err.to_string().contains("residuals"), "{err}");
         }
-        for g in &grads[..3] {
-            plain_first.train_step_with_grads(g).unwrap();
-        }
-        let plain_ckpt = Trainer::checkpoint(&mut plain_first).unwrap();
-        assert!(plain_ckpt.residual_bits.is_empty());
-        let mut plain_resumed = make_plain(4);
-        Trainer::restore(&mut plain_resumed, &plain_ckpt).unwrap();
-        for g in &grads[3..] {
-            plain_resumed.train_step_with_grads(g).unwrap();
-        }
-        assert_eq!(
-            plain_resumed.master_params().unwrap().as_slice(),
-            plain_straight.master_params().unwrap().as_slice()
-        );
-
-        // Residual/compression mismatches are rejected.
-        let mut uncompressed = PipelinedTrainer::new(&initial, optimizer, 2, 500).unwrap();
-        let err = Trainer::restore(&mut uncompressed, &parsed).unwrap_err();
-        assert!(err.to_string().contains("residuals"), "{err}");
-        let mut no_residuals = parsed.clone();
-        no_residuals.residual_bits = Vec::new();
-        let err = Trainer::restore(&mut make(2), &no_residuals).unwrap_err();
-        assert!(err.to_string().contains("residuals"), "{err}");
     }
 
     #[test]
@@ -906,9 +994,9 @@ mod tests {
                 s
             })
         };
-        let run = |checkpoint_after: Option<u64>| {
-            let mut t =
-                PipelinedTrainer::new(&initial, optimizer, 2, 300).unwrap().with_fault_plan(plan());
+        let run = |pipelined: bool, checkpoint_after: Option<u64>| {
+            let t = SmartInfinityTrainer::new(&initial, optimizer, 2, 300).unwrap();
+            let mut t = scheduled(t, pipelined).with_fault_plan(plan());
             let mut reports = Vec::new();
             for step in 0..4u64 {
                 let grads = FlatTensor::randn(n, 0.01, 500 + step);
@@ -919,17 +1007,11 @@ mod tests {
             }
             (t.master_params().unwrap(), reports)
         };
-        let (plain_master, plain_reports) = run(None);
-        let (ckpt_master, ckpt_reports) = run(Some(2));
-        assert_eq!(plain_master.as_slice(), ckpt_master.as_slice());
-        assert_eq!(plain_reports, ckpt_reports, "fault telemetry must match step for step");
-    }
-
-    #[test]
-    #[should_panic(expected = "gradient length mismatch")]
-    fn wrong_gradient_length_panics() {
-        let mut t = PipelinedTrainer::new(&FlatTensor::zeros(10), Optimizer::adam_default(), 1, 10)
-            .unwrap();
-        let _ = t.train_step_with_grads(&FlatTensor::zeros(5));
+        for pipelined in SCHEDULES {
+            let (plain_master, plain_reports) = run(pipelined, None);
+            let (ckpt_master, ckpt_reports) = run(pipelined, Some(2));
+            assert_eq!(plain_master.as_slice(), ckpt_master.as_slice());
+            assert_eq!(plain_reports, ckpt_reports, "fault telemetry must match step for step");
+        }
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! * [`Trainer`] — the object-safe trait implemented by
 //!   [`StorageOffloadTrainer`](crate::StorageOffloadTrainer) and
-//!   `smart_infinity::SmartInfinityTrainer`, so callers can hold a
+//!   [`SmartInfinityTrainer`](crate::SmartInfinityTrainer), so callers can hold a
 //!   `Box<dyn Trainer>` and never care where the update runs.
 //! * [`StepReport`] — per-step telemetry (bytes moved, compression
 //!   keep-count, threads used) returned by every step, replacing the
@@ -29,13 +29,15 @@ use tensorlib::FlatTensor;
 
 /// Per-stage byte telemetry of one pipelined training step.
 ///
-/// The pipelined execution backend splits each device shard's step into three
+/// The near-storage trainer splits each device shard's step into three
 /// stages — **write** (gradient ingest over the host interconnect),
 /// **update** (CSD-internal optimizer update) and **read-back** (refreshed
-/// FP16 parameters upstream) — and overlaps the stages of different shards.
-/// This report records how many bytes each stage moved and how many pipeline
-/// lanes ran concurrently; serial backends leave it `None` on the
-/// [`StepReport`].
+/// FP16 parameters upstream) — and, with
+/// [`SmartInfinityTrainer::with_pipelining`](crate::SmartInfinityTrainer::with_pipelining),
+/// overlaps the stages of different shards. This report records how many
+/// bytes each stage moved and how many pipeline lanes ran concurrently; steps
+/// that run the shards in order, and the host baseline, leave it `None` on
+/// the [`StepReport`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct StageReport {
     /// Bytes the write stage pushed downstream over the shared host
@@ -151,8 +153,8 @@ pub struct StepReport {
     /// `avx2`, chosen at runtime by CPU feature detection (see
     /// [`tensorlib::KernelPath::active`]).
     pub kernel_path: tensorlib::KernelPath,
-    /// Per-stage overlap telemetry of the pipelined execution backend;
-    /// `None` for backends that execute the step's phases serially.
+    /// Per-stage overlap telemetry of a step whose CSD lanes overlapped;
+    /// `None` for steps that execute the shards or phases one at a time.
     pub stages: Option<StageReport>,
     /// Recovery telemetry when injected faults fired during this step;
     /// `None` when the step ran fault-free.
@@ -171,8 +173,8 @@ impl StepReport {
         self.compression_kept.is_some()
     }
 
-    /// Whether the step was executed by a pipelined backend (per-stage
-    /// telemetry is present).
+    /// Whether the step overlapped its CSD lanes (per-stage telemetry is
+    /// present).
     pub fn is_pipelined(&self) -> bool {
         self.stages.is_some()
     }
@@ -356,19 +358,28 @@ pub trait Trainer: fmt::Debug {
     ///
     /// # Errors
     ///
-    /// Returns a [`TrainError`] wrapping whatever substrate operation failed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source's parameter count differs from the trainer's.
+    /// Returns [`TrainError::Config`] if the source's parameter count differs
+    /// from the trainer's, and otherwise a [`TrainError`] wrapping whatever
+    /// substrate operation failed.
     fn step_from(
         &mut self,
         source: &mut dyn crate::GradientSource,
     ) -> Result<StepReport, TrainError> {
-        assert_eq!(source.num_params(), self.num_params(), "gradient source size mismatch");
+        check_gradient_len(source.num_params(), self.num_params())?;
         let grads = source.gradients(self.steps_completed() + 1, self.params_fp16());
         self.step(&grads)
     }
+}
+
+/// Rejects a gradient of `len` elements for a trainer of `num_params`
+/// parameters with [`TrainError::Config`].
+pub(crate) fn check_gradient_len(len: usize, num_params: usize) -> Result<(), TrainError> {
+    if len == num_params {
+        return Ok(());
+    }
+    Err(TrainError::config(format!(
+        "gradient length mismatch: {len} gradients for {num_params} parameters"
+    )))
 }
 
 #[cfg(test)]

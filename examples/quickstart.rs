@@ -127,15 +127,16 @@ fn main() -> Result<(), TrainError> {
     println!("  SmartUpdate parameters identical to baseline: {identical}");
     assert!(identical, "SmartUpdate must be bit-identical to the baseline");
 
-    // The pipelined backend overlaps write → update → read-back across the
-    // CSDs and is still bit-identical to the baseline; its StepReport breaks
-    // the bytes down per stage.
+    // SU+O+P is the same SmartInfinityTrainer with its CSD lanes overlapped
+    // (`with_pipelining`): write → update → read-back of different CSDs run
+    // concurrently, the result is still bit-identical to the baseline, and
+    // the StepReport breaks the bytes down per stage.
     let pipelined_identical =
         trainers[3].params_fp16().as_slice() == trainers[0].params_fp16().as_slice();
-    assert!(pipelined_identical, "the pipelined backend must be bit-identical too");
-    let stages = last_reports[3].stages.expect("pipelined backend reports stage telemetry");
+    assert!(pipelined_identical, "overlapped lanes must be bit-identical too");
+    let stages = last_reports[3].stages.expect("overlapped lanes report stage telemetry");
     println!(
-        "  Pipelined backend identical to baseline: {pipelined_identical} \
+        "  SU+O+P (overlapped lanes) identical to baseline: {pipelined_identical} \
          (lanes: {}, write/update/read-back: {}/{}/{} B)",
         stages.lanes, stages.write_bytes, stages.update_bytes, stages.read_back_bytes
     );

@@ -10,7 +10,7 @@
 
 use gradcomp::Compressor;
 use optim::{HyperParams, Optimizer, OptimizerKind};
-use smart_infinity::{MachineConfig, Method, ModelConfig, Session, SmartInfinityTrainer};
+use smart_infinity::{MachineConfig, Method, ModelConfig, Session, SmartInfinityTrainer, Trainer};
 use tensorlib::{Dtype, FlatTensor};
 use ztrain::SyntheticGradients;
 
@@ -121,7 +121,8 @@ fn smartcomp_equals_training_on_decompressed_gradients() {
 
     let mut smart = SmartInfinityTrainer::new(&initial, optimizer, 1, 1_500)
         .expect("trainer")
-        .with_compression(keep_ratio);
+        .with_compression(keep_ratio)
+        .expect("keep ratio");
 
     // Reference: manual error feedback + Top-K + decompress + in-memory update.
     let compressor = Compressor::top_k(keep_ratio);
@@ -150,12 +151,13 @@ fn compressed_training_tracks_exact_training_with_error_feedback() {
     let mut exact = SmartInfinityTrainer::new(&initial, optimizer, 2, 1_000).expect("trainer");
     let mut compressed = SmartInfinityTrainer::new(&initial, optimizer, 2, 1_000)
         .expect("trainer")
-        .with_compression(0.05);
+        .with_compression(0.05)
+        .expect("keep ratio");
     let mut src_a = SyntheticGradients::new(n, 0.01, 3);
     let mut src_b = SyntheticGradients::new(n, 0.01, 3);
     for _ in 0..10 {
-        exact.train_step(&mut src_a).expect("step");
-        compressed.train_step(&mut src_b).expect("step");
+        exact.step_from(&mut src_a).expect("step");
+        compressed.step_from(&mut src_b).expect("step");
     }
     let a = exact.master_params().expect("params");
     let b = compressed.master_params().expect("params");
