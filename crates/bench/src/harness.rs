@@ -4,13 +4,13 @@
 //! binary renders as text (and JSON).
 
 use llm::{CostModel, GpuSpec, ModelConfig, Workload};
-use optim::OptimizerKind;
+use optim::{HyperParams, Optimizer, OptimizerKind};
 use parcore::ParExecutor;
 use serde::{Deserialize, Serialize};
 use smart_infinity::{
-    Campaign, CampaignReport, CampaignService, Experiment, MachineSpec, Method, MethodSpec,
-    ModelSpec, RunSpec, ServiceConfig, ServiceError, ServiceReport, Session, SmartInfinityEngine,
-    TrafficMethod, TrafficModel,
+    Campaign, CampaignReport, CampaignService, MachineSpec, MethodSpec, ModelSpec, RunSpec,
+    ServiceConfig, ServiceError, ServiceReport, Session, SmartInfinityEngine, TrafficMethod,
+    TrafficModel,
 };
 use tensorlib::KernelPath;
 use ztrain::realtrain::{train_classifier, Dataset, MlpModel, TrainConfig};
@@ -200,22 +200,32 @@ pub fn tab3() -> Vec<ResourceRow> {
 // Figures 9, 10, 12, 13: method-ladder sweeps
 // ---------------------------------------------------------------------------
 
+/// One breakdown row per method on one machine, each with its speedup over
+/// the first method (the baseline in every figure).
 fn ladder_rows(
     label_prefix: &str,
-    machine: MachineConfig,
-    workload: Workload,
+    model: &ModelConfig,
+    machine: &MachineConfig,
     optimizer: OptimizerKind,
-    methods: &[Method],
+    methods: &[MethodSpec],
 ) -> Vec<BreakdownRow> {
-    let experiment = Experiment::new(machine, workload).with_optimizer(optimizer);
-    experiment
-        .compare(methods)
-        .expect("simulation")
-        .into_iter()
-        .map(|r| BreakdownRow {
-            label: format!("{label_prefix} {}", r.label),
-            report: r.report,
-            speedup: r.speedup,
+    let reports: Vec<IterationReport> = methods
+        .iter()
+        .map(|&method| {
+            Session::builder(model.clone(), machine.clone(), method)
+                .with_optimizer(Optimizer::new(optimizer, HyperParams::default()))
+                .build()
+                .simulate_iteration()
+                .expect("simulation")
+        })
+        .collect();
+    methods
+        .iter()
+        .zip(&reports)
+        .map(|(method, report)| BreakdownRow {
+            label: format!("{label_prefix} {method}"),
+            report: *report,
+            speedup: report.speedup_over(&reports[0]),
         })
         .collect()
 }
@@ -234,10 +244,10 @@ pub fn fig9() -> Vec<BreakdownRow> {
         for n in [6usize, 10] {
             rows.extend(ladder_rows(
                 &format!("{} #SSD={n}", model.name()),
-                MachineConfig::smart_infinity(n),
-                Workload::paper_default(model.clone()),
+                &model,
+                &MachineConfig::smart_infinity(n),
                 OptimizerKind::Adam,
-                &Method::ladder(),
+                &MethodSpec::ladder(),
             ));
         }
     }
@@ -248,14 +258,17 @@ pub fn fig9() -> Vec<BreakdownRow> {
 /// 10 devices, comparing BASE, SU+O and SU+O+C.
 pub fn fig10() -> Vec<BreakdownRow> {
     let mut rows = Vec::new();
-    let methods =
-        [Method::Baseline, Method::SmartUpdateOptimized, Method::SmartComp { keep_ratio: 0.01 }];
+    let methods = [
+        MethodSpec::baseline(),
+        MethodSpec::smart_update_optimized(),
+        MethodSpec::smart_comp(0.01),
+    ];
     for model in [ModelConfig::gpt2_16_6b(), ModelConfig::gpt2_24_8b(), ModelConfig::gpt2_33b()] {
         for n in [6usize, 10] {
             rows.extend(ladder_rows(
                 &format!("{} #SSD={n}", model.name()),
-                MachineConfig::smart_infinity(n),
-                Workload::paper_default(model.clone()),
+                &model,
+                &MachineConfig::smart_infinity(n),
                 OptimizerKind::Adam,
                 &methods,
             ));
@@ -295,9 +308,9 @@ pub fn fig11a() -> Vec<CsdScalingPoint> {
         for n in [1usize, 2, 4, 6, 8, 10] {
             let machine = MachineConfig::smart_infinity(n).with_gpu(gpu.clone());
             for method in [
-                Method::Baseline,
-                Method::SmartUpdateOptimized,
-                Method::SmartComp { keep_ratio: 0.01 },
+                MethodSpec::baseline(),
+                MethodSpec::smart_update_optimized(),
+                MethodSpec::smart_comp(0.01),
             ] {
                 let t = Session::builder(ModelConfig::gpt2_4b(), machine.clone(), method)
                     .build()
@@ -318,18 +331,17 @@ pub fn fig11a() -> Vec<CsdScalingPoint> {
 
 /// Fig. 11(b): breakdown with ten devices on the A5000 and the A100.
 pub fn fig11b() -> Vec<BreakdownRow> {
-    let workload = Workload::paper_default(ModelConfig::gpt2_4b());
     let mut rows = Vec::new();
     for gpu in [GpuSpec::a5000(), GpuSpec::a100()] {
         rows.extend(ladder_rows(
             &format!("{} #SSD=10", gpu.name),
-            MachineConfig::smart_infinity(10).with_gpu(gpu.clone()),
-            workload.clone(),
+            &ModelConfig::gpt2_4b(),
+            &MachineConfig::smart_infinity(10).with_gpu(gpu.clone()),
             OptimizerKind::Adam,
             &[
-                Method::Baseline,
-                Method::SmartUpdateOptimized,
-                Method::SmartComp { keep_ratio: 0.01 },
+                MethodSpec::baseline(),
+                MethodSpec::smart_update_optimized(),
+                MethodSpec::smart_comp(0.01),
             ],
         ));
     }
@@ -345,13 +357,13 @@ pub fn fig12() -> Vec<BreakdownRow> {
         for n in [6usize, 10] {
             rows.extend(ladder_rows(
                 &format!("{name} #SSD={n}"),
-                MachineConfig::smart_infinity(n),
-                Workload::paper_default(ModelConfig::gpt2_4b()),
+                &ModelConfig::gpt2_4b(),
+                &MachineConfig::smart_infinity(n),
                 optimizer,
                 &[
-                    Method::Baseline,
-                    Method::SmartUpdateOptimized,
-                    Method::SmartComp { keep_ratio: 0.01 },
+                    MethodSpec::baseline(),
+                    MethodSpec::smart_update_optimized(),
+                    MethodSpec::smart_comp(0.01),
                 ],
             ));
         }
@@ -372,13 +384,13 @@ pub fn fig13() -> Vec<BreakdownRow> {
         for n in [6usize, 10] {
             rows.extend(ladder_rows(
                 &format!("{} #SSD={n}", model.name()),
-                MachineConfig::smart_infinity(n),
-                Workload::paper_default(model.clone()),
+                &model,
+                &MachineConfig::smart_infinity(n),
                 OptimizerKind::Adam,
                 &[
-                    Method::Baseline,
-                    Method::SmartUpdateOptimized,
-                    Method::SmartComp { keep_ratio: 0.01 },
+                    MethodSpec::baseline(),
+                    MethodSpec::smart_update_optimized(),
+                    MethodSpec::smart_comp(0.01),
                 ],
             ));
         }
@@ -459,15 +471,15 @@ pub fn fig15() -> Vec<CostPoint> {
     for gpu in [GpuSpec::a5000(), GpuSpec::a100()] {
         for n in [1usize, 2, 4, 6, 8, 10] {
             let machine = MachineConfig::smart_infinity(n).with_gpu(gpu.clone());
-            let run = |method: Method| {
+            let run = |method: MethodSpec| {
                 Session::builder(ModelConfig::gpt2_4b(), machine.clone(), method)
                     .build()
                     .simulate_iteration()
                     .expect("simulation")
                     .total_s()
             };
-            let base_t = run(Method::Baseline);
-            let smart_t = run(Method::SmartComp { keep_ratio: 0.01 });
+            let base_t = run(MethodSpec::baseline());
+            let smart_t = run(MethodSpec::smart_comp(0.01));
             points.push(CostPoint {
                 gpu: gpu.name.clone(),
                 method: "ZeRO-Inf".to_string(),
@@ -539,14 +551,14 @@ pub fn tab4(epochs: usize) -> Vec<FinetuneRow> {
     let models = [ModelConfig::bert_0_34b(), ModelConfig::gpt2_0_77b(), ModelConfig::gpt2_1_6b()];
     let mut rows = Vec::new();
     for model in models {
-        let run = |method: Method| {
+        let run = |method: MethodSpec| {
             Session::builder(model.clone(), MachineConfig::smart_infinity(6), method)
                 .build()
                 .simulate_iteration()
                 .expect("simulation")
         };
-        let base = run(Method::Baseline);
-        let mut push = |method: Method, label: String, keep: Option<f64>| {
+        let base = run(MethodSpec::baseline());
+        let mut push = |method: MethodSpec, label: String, keep: Option<f64>| {
             let report = run(method);
             rows.push(FinetuneRow {
                 model: model.name().to_string(),
@@ -555,12 +567,12 @@ pub fn tab4(epochs: usize) -> Vec<FinetuneRow> {
                 accuracies_pct: accuracy_suite(keep),
             });
         };
-        push(Method::Baseline, "Baseline".to_string(), None);
-        push(Method::SmartUpdateOptimized, "SU+O".to_string(), None);
+        push(MethodSpec::baseline(), "Baseline".to_string(), None);
+        push(MethodSpec::smart_update_optimized(), "SU+O".to_string(), None);
         for transfer in tab4_transfer_ratios() {
             let keep = transfer / 2.0;
             push(
-                Method::SmartComp { keep_ratio: keep },
+                MethodSpec::smart_comp(keep),
                 format!("SU+O+C ({:.0}%)", transfer * 100.0),
                 Some(keep),
             );
@@ -588,13 +600,13 @@ pub fn fig16() -> Vec<CompressionSensitivityPoint> {
     let mut points = Vec::new();
     for model in [ModelConfig::bert_0_34b(), ModelConfig::gpt2_4b()] {
         for n in [6usize, 10] {
-            let run = |method: Method| {
+            let run = |method: MethodSpec| {
                 Session::builder(model.clone(), MachineConfig::smart_infinity(n), method)
                     .build()
                     .simulate_iteration()
                     .expect("simulation")
             };
-            let su_o = run(Method::SmartUpdateOptimized);
+            let su_o = run(MethodSpec::smart_update_optimized());
             points.push(CompressionSensitivityPoint {
                 model: model.name().to_string(),
                 num_devices: n,
@@ -602,7 +614,7 @@ pub fn fig16() -> Vec<CompressionSensitivityPoint> {
                 total_s: su_o.total_s(),
             });
             for transfer in [0.10, 0.05, 0.02, 0.01] {
-                let t = run(Method::SmartComp { keep_ratio: transfer / 2.0 }).total_s();
+                let t = run(MethodSpec::smart_comp(transfer / 2.0)).total_s();
                 points.push(CompressionSensitivityPoint {
                     model: model.name().to_string(),
                     num_devices: n,
@@ -622,25 +634,17 @@ pub fn fig16() -> Vec<CompressionSensitivityPoint> {
 /// Fig. 17(b): baseline vs Smart-Infinity on the congested topology where 1–3
 /// A4000 GPUs share the expansion switch with ten CSDs (GPT-2 1.16B).
 pub fn fig17() -> Vec<BreakdownRow> {
-    let mut rows = Vec::new();
-    for gpus in 1..=3usize {
-        let experiment = Experiment::new(
-            MachineConfig::congested_multi_gpu(10, gpus),
-            Workload::paper_default(ModelConfig::gpt2_1_16b()),
-        );
-        rows.extend(
-            experiment
-                .compare(&[Method::Baseline, Method::SmartComp { keep_ratio: 0.01 }])
-                .expect("simulation")
-                .into_iter()
-                .map(|r| BreakdownRow {
-                    label: format!("{gpus}xA4000 {}", r.label),
-                    report: r.report,
-                    speedup: r.speedup,
-                }),
-        );
-    }
-    rows
+    (1..=3usize)
+        .flat_map(|gpus| {
+            ladder_rows(
+                &format!("{gpus}xA4000"),
+                &ModelConfig::gpt2_1_16b(),
+                &MachineConfig::congested_multi_gpu(10, gpus),
+                OptimizerKind::Adam,
+                &[MethodSpec::baseline(), MethodSpec::smart_comp(0.01)],
+            )
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------

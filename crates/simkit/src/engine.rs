@@ -319,6 +319,17 @@ impl<'a> Runner<'a> {
             // Compute rates, find the next completion, advance time.
             let step = self.next_step();
             let Some(dt) = step else {
+                // Running tasks that cannot finish are a stall; with nothing
+                // running, the pending tasks wait on each other.
+                let running: Vec<TaskId> =
+                    [&self.active_flows, &self.active_compute, &self.active_delays]
+                        .into_iter()
+                        .flatten()
+                        .copied()
+                        .collect();
+                if !running.is_empty() {
+                    return Err(SimError::Stalled { running_tasks: running });
+                }
                 let stuck: Vec<usize> = self
                     .progress
                     .iter()
@@ -477,8 +488,9 @@ impl<'a> Runner<'a> {
             .collect()
     }
 
-    /// Returns the time until the next task completion, or `None` if nothing
-    /// is active (deadlock if tasks remain).
+    /// Returns the time until the next task completion, or `None` if no
+    /// active task has a finite completion time (nothing is active, or every
+    /// active task's rate or remaining work is out of range).
     fn next_step(&self) -> Option<f64> {
         let mut dt = f64::INFINITY;
         for (task, rate) in self.flow_rates() {

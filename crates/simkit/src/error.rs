@@ -18,6 +18,13 @@ pub enum SimError {
         /// Tasks left pending when the simulation ran out of runnable work.
         stuck_tasks: Vec<usize>,
     },
+    /// Tasks were running but none could ever finish: every active task's
+    /// completion time is infinite (its rate underflows to zero or its
+    /// remaining work over its rate overflows).
+    Stalled {
+        /// Tasks running when the simulation stopped making progress.
+        running_tasks: Vec<usize>,
+    },
     /// A task parameter was invalid (negative bytes, non-positive bandwidth, ...).
     InvalidParameter {
         /// Description of the invalid parameter.
@@ -40,6 +47,11 @@ impl fmt::Display for SimError {
             SimError::DependencyCycle { stuck_tasks } => {
                 write!(f, "dependency cycle: {} task(s) can never start", stuck_tasks.len())
             }
+            SimError::Stalled { running_tasks } => write!(
+                f,
+                "simulation stalled: {} running task(s) have no finite completion time",
+                running_tasks.len()
+            ),
             SimError::InvalidParameter { message } => {
                 write!(f, "invalid parameter: {message}")
             }
@@ -62,6 +74,8 @@ mod tests {
         assert_eq!(e.to_string(), "unknown link id 3");
         let e = SimError::DependencyCycle { stuck_tasks: vec![1, 2] };
         assert!(e.to_string().contains("2 task(s)"));
+        let e = SimError::Stalled { running_tasks: vec![0] };
+        assert!(e.to_string().contains("stalled: 1 running task(s)"));
         let e = SimError::InvalidParameter { message: "negative bytes".into() };
         assert!(e.to_string().contains("negative bytes"));
     }

@@ -177,4 +177,14 @@ mod tests {
         let err = sim.run().unwrap_err();
         assert!(matches!(err, SimError::DependencyCycle { .. }));
     }
+
+    #[test]
+    fn running_task_without_a_finite_finish_is_a_stall_not_a_cycle() {
+        let mut sim = Simulation::new();
+        let slow = sim.add_resource("slow", 1e-300);
+        let stuck = sim.compute(ComputeSpec::new(slow, 1e300));
+        let _waiting = sim.delay(DelaySpec::new(1.0).after(&[stuck]));
+        let err = sim.run().unwrap_err();
+        assert_eq!(err, SimError::Stalled { running_tasks: vec![stuck] });
+    }
 }

@@ -95,6 +95,12 @@ impl ClusterSpec {
         self.interconnect_gbps.unwrap_or(DEFAULT_INTERCONNECT_GBPS) * 1e9 / 8.0
     }
 
+    /// The shared backplane rate in bytes per second: every NIC's rate,
+    /// divided by the oversubscription factor.
+    fn backplane_bytes_per_sec(&self) -> f64 {
+        self.nic_bytes_per_sec() * self.hosts as f64 / BACKPLANE_OVERSUBSCRIPTION
+    }
+
     /// The shared reduction stage as a [`Resource`] description: a
     /// multi-core unit whose throughput follows an Amdahl speedup curve.
     fn reducer(&self) -> Resource {
@@ -113,8 +119,9 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Config`] for fewer than two hosts, a
-    /// non-positive interconnect, invalid reduction knobs, a straggler
+    /// Returns [`TrainError::Config`] for fewer than two hosts, an
+    /// interconnect whose NIC or backplane byte rate is not positive and
+    /// finite, invalid reduction knobs, a straggler
     /// outside the cluster or with a factor below 1, and for methods without
     /// `in_storage_update` — the cluster layer reduces gradients *between*
     /// the hosts' in-storage updates, so the host-CPU baseline cannot be
@@ -123,12 +130,15 @@ impl ClusterSpec {
         if self.hosts < 2 {
             return Err(TrainError::config("a cluster needs at least two hosts"));
         }
-        if let Some(gbps) = self.interconnect_gbps {
-            if !(gbps.is_finite() && gbps > 0.0) {
-                return Err(TrainError::config(format!(
-                    "cluster interconnect must be positive and finite, got {gbps} Gb/s"
-                )));
-            }
+        // Checked on the derived byte rates the simulation uses: a finite
+        // Gb/s value can still overflow once scaled to bytes and hosts.
+        let (nic, backplane) = (self.nic_bytes_per_sec(), self.backplane_bytes_per_sec());
+        if !(nic.is_finite() && nic > 0.0 && backplane.is_finite() && backplane > 0.0) {
+            let gbps = self.interconnect_gbps.unwrap_or(DEFAULT_INTERCONNECT_GBPS);
+            return Err(TrainError::config(format!(
+                "cluster interconnect_gbps must give positive, finite NIC and backplane rates, \
+                 got {gbps:e} Gb/s ({nic:e} B/s per NIC, {backplane:e} B/s backplane)"
+            )));
         }
         if self.reduce_cores == Some(0) {
             return Err(TrainError::config("the reduction stage needs at least one core"));
@@ -324,7 +334,7 @@ pub fn simulate_allreduce(
         update: sim.add_phase("cluster.update"),
     };
     let nic_rate = cluster.nic_bytes_per_sec();
-    let backplane = sim.add_link("backplane", nic_rate * hosts as f64 / BACKPLANE_OVERSUBSCRIPTION);
+    let backplane = sim.add_link("backplane", cluster.backplane_bytes_per_sec());
     // Host compute amounts are *seconds* from the single-host simulation, so
     // host resources run at unit rate — except the straggler, whose rate
     // drops by its factor.
@@ -387,6 +397,18 @@ mod tests {
         let mut slow_net = ClusterSpec::hosts(4);
         slow_net.interconnect_gbps = Some(0.0);
         assert!(slow_net.validate(&method).is_err());
+        // Finite in Gb/s, infinite once scaled to bytes per second.
+        let err = ClusterSpec::hosts(4)
+            .with_interconnect_gbps(1e300)
+            .validate(&method)
+            .expect_err("overflowing NIC rate");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+        assert!(err.to_string().contains("interconnect_gbps"), "{err}");
+        // A NIC rate that fits, with a backplane that overflows across hosts.
+        let wide = ClusterSpec::hosts(64).with_interconnect_gbps(1e299);
+        assert!(wide.nic_bytes_per_sec().is_finite());
+        let err = wide.validate(&method).expect_err("overflowing backplane rate");
+        assert!(err.to_string().contains("interconnect_gbps"), "{err}");
         let mut bad_serial = ClusterSpec::hosts(4);
         bad_serial.serial_fraction = Some(1.5);
         assert!(bad_serial.validate(&method).is_err());

@@ -127,8 +127,7 @@ impl SmartInfinityEngine {
     /// # Panics
     ///
     /// Panics on an invalid keep ratio; validate the spec first
-    /// ([`MethodSpec::validate`] — the session and experiment front doors
-    /// always do).
+    /// ([`MethodSpec::validate`] — [`crate::Session`] always does).
     pub fn with_method_spec(mut self, spec: &MethodSpec) -> Self {
         self = self.with_handler(spec.implied_handler());
         if let Some(keep_ratio) = spec.keep_ratio() {

@@ -11,10 +11,11 @@
 //! * **Timed** — [`SmartInfinityEngine`] builds a discrete-event model of one
 //!   training iteration on a machine with N SmartSSD-class CSDs and reports
 //!   the forward / backward+gradient-offload / update phase breakdown; the
-//!   companion baseline lives in [`ztrain::BaselineEngine`]. The
-//!   [`Experiment`] front-end runs the paper's method ladder (BASE → SU →
-//!   SU+O → SU+O+C) and every figure of the evaluation is produced from it
-//!   (see the `bench` crate).
+//!   companion baseline lives in [`ztrain::BaselineEngine`].
+//!   [`Session::simulate_iteration`] picks the engine for a [`MethodSpec`];
+//!   the paper's method ladder (BASE → SU → SU+O → SU+O+C) is one session
+//!   per spec, and every figure of the evaluation is produced that way (see
+//!   the `bench` crate).
 //! * **Functional** — [`SmartInfinityTrainer`] really distributes the
 //!   flattened parameters across [`csd::CsdDevice`] models, really runs the
 //!   FPGA updater/decompressor kernels and really produces updated FP16
@@ -28,11 +29,11 @@
 //!
 //! | Paper | Here |
 //! |---|---|
-//! | SmartUpdate (Section IV-A) | [`Method::SmartUpdate`], [`SmartInfinityEngine`], [`SmartInfinityTrainer`] |
+//! | SmartUpdate (Section IV-A) | [`MethodSpec::smart_update`], [`SmartInfinityEngine`], [`SmartInfinityTrainer`] |
 //! | Internal data-transfer handler (Section IV-B) | [`HandlerMode`], the subgroup pipeline in [`SmartInfinityEngine`] |
-//! | SmartComp gradient compression (Section IV-C) | [`Method::SmartComp`], `gradcomp` + `csd::Decompressor` |
+//! | SmartComp gradient compression (Section IV-C) | [`MethodSpec::smart_comp`], `gradcomp` + `csd::Decompressor` |
 //! | Multi-CSD distribution (Section IV-D) | [`tensorlib::Partitioner`] inside [`SmartInfinityTrainer`] |
-//! | Cross-CSD phase overlap (Sections IV-B/IV-D) | [`Method::SmartInfinityPipelined`], [`SmartInfinityTrainer::with_pipelining`], [`PipelineTiming`] |
+//! | Cross-CSD phase overlap (Sections IV-B/IV-D) | [`MethodSpec::pipelined`], [`SmartInfinityTrainer::with_pipelining`], [`PipelineTiming`] |
 //!
 //! # Quick start
 //!
@@ -97,7 +98,6 @@ mod engine_timed;
 #[cfg(test)]
 #[path = "functional_tests.rs"]
 mod engine_functional;
-mod experiment;
 pub mod sched;
 mod service;
 mod session;
@@ -110,7 +110,6 @@ pub use campaign::{
 pub use canon::{canonical_json, fnv1a};
 pub use cluster::{ClusterScheduler, ClusterSpec, StragglerSpec};
 pub use engine_timed::{HandlerMode, PipelineTiming, SmartInfinityEngine};
-pub use experiment::{Experiment, Method, MethodReport};
 pub use sched::{
     compare_schedulers, method_scheduler, PipelinedScheduler, SchedulerRun, SerialNaiveScheduler,
     SerialOverlapScheduler,
@@ -152,12 +151,16 @@ mod tests {
     /// baseline by well over 1.5x, and each ingredient of the ablation helps.
     #[test]
     fn method_ladder_is_monotone_at_ten_csds() {
-        let workload = Workload::paper_default(ModelConfig::gpt2_4b());
-        let exp = Experiment::new(MachineConfig::smart_infinity(10), workload);
-        let base = exp.run(Method::Baseline).unwrap();
-        let su = exp.run(Method::SmartUpdate).unwrap();
-        let suo = exp.run(Method::SmartUpdateOptimized).unwrap();
-        let suoc = exp.run(Method::SmartComp { keep_ratio: 0.01 }).unwrap();
+        let simulate = |method: MethodSpec| {
+            Session::builder(ModelConfig::gpt2_4b(), MachineConfig::smart_infinity(10), method)
+                .build()
+                .simulate_iteration()
+                .unwrap()
+        };
+        let base = simulate(MethodSpec::baseline());
+        let su = simulate(MethodSpec::smart_update());
+        let suo = simulate(MethodSpec::smart_update_optimized());
+        let suoc = simulate(MethodSpec::smart_comp(0.01));
         let s_su = su.speedup_over(&base);
         let s_suo = suo.speedup_over(&base);
         let s_suoc = suoc.speedup_over(&base);

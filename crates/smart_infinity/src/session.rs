@@ -1,20 +1,14 @@
 //! The session front door: declare *what* to train — a model, a machine and
 //! a method's capability axes — and the library decides *where* the update
-//! runs.
-//!
-//! Before this module existed the public API forked per substrate:
-//! `ztrain::StorageOffloadTrainer::new(...)` for the host baseline,
-//! `SmartInfinityTrainer::new(...).with_*()` for the near-storage system, and
-//! `Experiment::run(Method)` for the timed view — three dialects for one
-//! system. A [`Session`] makes the [`MethodSpec`] the single switch for both
-//! views (the compat [`crate::Method`] enum converts implicitly):
+//! runs. The [`MethodSpec`] is the single switch for both views:
 //!
 //! * [`Session::trainer`] builds the matching *functional* trainer behind a
 //!   `Box<dyn Trainer>` — no `in_storage_update` yields the RAID0 baseline,
 //!   the in-storage axes yield a [`SmartInfinityTrainer`], overlapped across
 //!   CSDs and compressed when the spec says so.
 //! * [`Session::simulate_iteration`] runs the *timed* model of the same
-//!   configuration and returns the per-phase breakdown.
+//!   configuration and returns the per-phase breakdown. A method ladder is
+//!   one session per spec, compared with [`IterationReport::speedup_over`].
 //!
 //! Both paths speak [`TrainError`], so a caller can mix them with `?`, and
 //! both validate the spec centrally instead of panicking in a substrate.
@@ -23,7 +17,6 @@
 
 use crate::cluster::ClusterSpec;
 use crate::engine_timed::{HandlerMode, SmartInfinityEngine};
-use crate::experiment::Experiment;
 use crate::spec::MethodSpec;
 use fabric::StorageKind;
 use faultkit::{FaultPlan, FaultSpec, TimedFaultEffects};
@@ -165,17 +158,16 @@ pub struct Session {
 }
 
 impl Session {
-    /// Starts building a session for the given model, machine and method —
-    /// either a composed [`MethodSpec`] or a named [`crate::Method`] variant.
+    /// Starts building a session for the given model, machine and method.
     pub fn builder(
         model: ModelConfig,
         machine: MachineConfig,
-        method: impl Into<MethodSpec>,
+        method: MethodSpec,
     ) -> SessionBuilder {
         SessionBuilder {
             model,
             machine,
-            method: method.into(),
+            method,
             optimizer: Optimizer::adam_default(),
             threads: 1,
             handler: None,
@@ -327,71 +319,49 @@ impl Session {
             return Ok(crate::cluster::simulate_allreduce(&cluster, &per_host, grad_bytes)?);
         }
         let effects = self.timed_fault_effects();
-        let handler_override = self.handler.filter(|_| self.method.uses_csds());
-        // No fault effects and no handler override: the spec's standard
-        // mapping through the experiment front-end.
-        if effects.is_none() && handler_override.is_none() {
-            return self.experiment()?.run_spec(&self.method);
-        }
-        if !self.method.uses_csds() {
-            // Baseline under a fault plan: no in-storage compute to slow, so
-            // only the uplink derating applies.
+        let report = if !self.method.uses_csds() {
+            // The baseline has no in-storage compute to slow or re-handle,
+            // so only the fault plan's uplink derating applies.
             let machine = MachineConfig { storage: StorageKind::PlainSsd, ..self.machine.clone() };
             let mut engine =
                 BaselineEngine::new(machine, self.workload.clone(), self.optimizer.kind());
             if let Some(effects) = effects {
                 engine = engine.with_fault_effects(effects);
             }
-            return Ok(engine.simulate_iteration()?);
-        }
-        // Build the timed engine from the spec, then apply the overrides: the
-        // ablation handler (if any) and the fault plan's timed effects.
-        let machine = MachineConfig { storage: StorageKind::Csd, ..self.machine.clone() };
-        let mut engine =
-            SmartInfinityEngine::new(machine, self.workload.clone(), self.optimizer.kind())
-                .with_method_spec(&self.method);
-        if let Some(handler) = handler_override {
-            engine = engine.with_handler(handler);
-        }
-        if let Some(elems) = self.subgroup_elems {
-            engine = engine.with_subgroup_elems(elems);
-        }
-        if let Some(effects) = effects {
-            engine = engine.with_fault_effects(effects);
-        }
-        Ok(engine.simulate_iteration()?)
-    }
-
-    /// The timed sweep view of this configuration: an [`Experiment`] with the
-    /// session's machine, workload, optimizer and subgroup capacity, for
-    /// multi-method ladders ([`Experiment::compare`], [`Experiment::ladder`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainError::Config`] for the same invalid knobs
-    /// [`Session::simulate_iteration`] rejects (zero devices, zero subgroup
-    /// capacity, out-of-range keep ratio) — the lower-level [`Experiment`]
-    /// asserts on them instead.
-    pub fn experiment(&self) -> Result<Experiment, TrainError> {
-        self.validate()?;
-        let mut experiment = Experiment::new(self.machine.clone(), self.workload.clone())
-            .with_optimizer(self.optimizer.kind());
-        if let Some(elems) = self.subgroup_elems {
-            experiment = experiment.with_subgroup_elems(elems);
-        }
-        Ok(experiment)
+            engine.simulate_iteration()?
+        } else {
+            // Build the timed engine from the spec, then apply the overrides:
+            // the ablation handler, the subgroup capacity and the fault
+            // plan's timed effects.
+            let machine = MachineConfig { storage: StorageKind::Csd, ..self.machine.clone() };
+            let mut engine =
+                SmartInfinityEngine::new(machine, self.workload.clone(), self.optimizer.kind())
+                    .with_method_spec(&self.method);
+            if let Some(handler) = self.handler {
+                engine = engine.with_handler(handler);
+            }
+            if let Some(elems) = self.subgroup_elems {
+                engine = engine.with_subgroup_elems(elems);
+            }
+            if let Some(effects) = effects {
+                engine = engine.with_fault_effects(effects);
+            }
+            engine.simulate_iteration()?
+        };
+        Ok(report)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Method;
+    use crate::CompressionSpec;
     use llm::ModelConfig;
+    use optim::{HyperParams, OptimizerKind};
     use tensorlib::FlatTensor;
     use ztrain::SyntheticGradients;
 
-    fn session(method: Method) -> Session {
+    fn session(method: MethodSpec) -> Session {
         Session::builder(ModelConfig::gpt2_0_34b(), MachineConfig::smart_infinity(3), method)
             .build()
     }
@@ -401,7 +371,7 @@ mod tests {
         let initial = FlatTensor::randn(600, 0.05, 1);
         let grads = FlatTensor::randn(600, 0.01, 2);
         let mut reports = Vec::new();
-        for method in Method::ladder() {
+        for method in MethodSpec::ladder() {
             let mut trainer = session(method).trainer(&initial).expect("trainer");
             let report = trainer.step(&grads).expect("step");
             assert_eq!(trainer.steps_completed(), 1);
@@ -419,8 +389,8 @@ mod tests {
     #[test]
     fn baseline_and_smartupdate_sessions_train_identically() {
         let initial = FlatTensor::randn(2_000, 0.05, 9);
-        let mut base = session(Method::Baseline).trainer(&initial).expect("trainer");
-        let mut smart = session(Method::SmartUpdate).trainer(&initial).expect("trainer");
+        let mut base = session(MethodSpec::baseline()).trainer(&initial).expect("trainer");
+        let mut smart = session(MethodSpec::smart_update()).trainer(&initial).expect("trainer");
         let mut src_a = SyntheticGradients::new(2_000, 0.01, 17);
         let mut src_b = SyntheticGradients::new(2_000, 0.01, 17);
         for _ in 0..3 {
@@ -436,7 +406,7 @@ mod tests {
 
     #[test]
     fn invalid_keep_ratio_is_a_config_error_not_a_panic() {
-        let s = session(Method::SmartComp { keep_ratio: 0.0 });
+        let s = session(MethodSpec::smart_comp(0.0));
         let err = s.trainer(&FlatTensor::zeros(10)).expect_err("invalid ratio");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         let err = s.simulate_iteration().expect_err("invalid ratio");
@@ -445,7 +415,8 @@ mod tests {
 
     #[test]
     fn empty_parameters_are_rejected() {
-        let err = session(Method::Baseline).trainer(&FlatTensor::zeros(0)).expect_err("empty");
+        let err =
+            session(MethodSpec::baseline()).trainer(&FlatTensor::zeros(0)).expect_err("empty");
         assert!(err.to_string().contains("zero parameters"));
     }
 
@@ -454,14 +425,14 @@ mod tests {
         let initial = FlatTensor::randn(2_000, 0.05, 9);
         for keep_ratio in [None, Some(0.05)] {
             let serial_method = match keep_ratio {
-                None => Method::SmartUpdate,
-                Some(keep_ratio) => Method::SmartComp { keep_ratio },
+                None => MethodSpec::smart_update(),
+                Some(keep_ratio) => MethodSpec::smart_comp(keep_ratio),
             };
             let mut serial = session(serial_method).trainer(&initial).expect("trainer");
             let mut pipelined = Session::builder(
                 ModelConfig::gpt2_0_34b(),
                 MachineConfig::smart_infinity(3),
-                Method::SmartInfinityPipelined { keep_ratio },
+                MethodSpec::pipelined(keep_ratio),
             )
             .with_threads(4)
             .build()
@@ -488,12 +459,12 @@ mod tests {
 
     #[test]
     fn pipelined_method_drives_the_timed_view() {
-        let s = session(Method::SmartInfinityPipelined { keep_ratio: Some(0.01) });
+        let s = session(MethodSpec::pipelined(Some(0.01)));
         let pipelined = s.simulate_iteration().expect("simulation");
-        let serial = session(Method::SmartComp { keep_ratio: 0.01 }).simulate_iteration().unwrap();
+        let serial = session(MethodSpec::smart_comp(0.01)).simulate_iteration().unwrap();
         assert!(pipelined.total_s() <= serial.total_s() * 1.001);
         // The keep-ratio validation covers the pipelined method too.
-        let err = session(Method::SmartInfinityPipelined { keep_ratio: Some(0.0) })
+        let err = session(MethodSpec::pipelined(Some(0.0)))
             .trainer(&FlatTensor::zeros(10))
             .expect_err("invalid ratio");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
@@ -501,7 +472,7 @@ mod tests {
 
     #[test]
     fn zero_subgroup_capacity_is_a_config_error_not_a_panic() {
-        for method in [Method::Baseline, Method::SmartInfinityPipelined { keep_ratio: None }] {
+        for method in [MethodSpec::baseline(), MethodSpec::pipelined(None)] {
             let s = Session::builder(
                 ModelConfig::gpt2_0_34b(),
                 MachineConfig::smart_infinity(2),
@@ -514,15 +485,12 @@ mod tests {
             assert!(err.to_string().contains("subgroup"), "{err}");
             let err = s.simulate_iteration().expect_err("zero subgroup");
             assert!(matches!(err, TrainError::Config { .. }), "{err}");
-            // The sweep front-end rejects it too instead of asserting later.
-            let err = s.experiment().expect_err("zero subgroup");
-            assert!(matches!(err, TrainError::Config { .. }), "{err}");
         }
     }
 
     #[test]
     fn fewer_parameters_than_devices_is_a_config_error() {
-        let s = session(Method::SmartUpdate);
+        let s = session(MethodSpec::smart_update());
         let err = s.trainer(&FlatTensor::zeros(2)).expect_err("2 params on 3 devices");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         assert!(err.to_string().contains("devices"), "{err}");
@@ -536,7 +504,8 @@ mod tests {
         // config can carry a zero device count; the session must catch it.
         let mut machine = MachineConfig::smart_infinity(2);
         machine.num_devices = 0;
-        let s = Session::builder(ModelConfig::gpt2_0_34b(), machine, Method::Baseline).build();
+        let s =
+            Session::builder(ModelConfig::gpt2_0_34b(), machine, MethodSpec::baseline()).build();
         let err = s.trainer(&FlatTensor::zeros(16)).expect_err("zero devices");
         assert!(matches!(err, TrainError::Config { .. }), "{err}");
         assert!(err.to_string().contains("storage device"));
@@ -551,7 +520,7 @@ mod tests {
         let overridden = Session::builder(
             ModelConfig::gpt2_4b(),
             MachineConfig::smart_infinity(6),
-            Method::SmartUpdate,
+            MethodSpec::smart_update(),
         )
         .with_handler(HandlerMode::Optimized)
         .build()
@@ -560,7 +529,7 @@ mod tests {
         let native = Session::builder(
             ModelConfig::gpt2_4b(),
             MachineConfig::smart_infinity(6),
-            Method::SmartUpdateOptimized,
+            MethodSpec::smart_update_optimized(),
         )
         .build()
         .simulate_iteration()
@@ -571,7 +540,7 @@ mod tests {
             let mut b = Session::builder(
                 ModelConfig::gpt2_4b(),
                 MachineConfig::smart_infinity(6),
-                Method::SmartComp { keep_ratio: 0.01 },
+                MethodSpec::smart_comp(0.01),
             );
             if let Some(h) = handler {
                 b = b.with_handler(h);
@@ -585,7 +554,7 @@ mod tests {
     fn empty_fault_specs_leave_every_view_untouched() {
         let initial = FlatTensor::randn(900, 0.05, 11);
         let grads = FlatTensor::randn(900, 0.01, 12);
-        for method in Method::ladder() {
+        for method in MethodSpec::ladder() {
             let clean = session(method);
             let faulted = Session::builder(
                 ModelConfig::gpt2_0_34b(),
@@ -615,7 +584,7 @@ mod tests {
         let s = Session::builder(
             ModelConfig::gpt2_0_34b(),
             MachineConfig::smart_infinity(3),
-            Method::SmartUpdate,
+            MethodSpec::smart_update(),
         )
         .with_faults(faults)
         .build();
@@ -630,11 +599,9 @@ mod tests {
         let initial = FlatTensor::randn(1_200, 0.05, 21);
         let mut faults = FaultSpec::empty(7);
         faults.transient_per_mille = Some(300);
-        for method in [
-            Method::Baseline,
-            Method::SmartUpdate,
-            Method::SmartInfinityPipelined { keep_ratio: Some(0.05) },
-        ] {
+        for method in
+            [MethodSpec::baseline(), MethodSpec::smart_update(), MethodSpec::pipelined(Some(0.05))]
+        {
             let mut clean = session(method).trainer(&initial).expect("trainer");
             let mut faulted = Session::builder(
                 ModelConfig::gpt2_0_34b(),
@@ -667,7 +634,7 @@ mod tests {
         let mut faults = FaultSpec::empty(3);
         faults.straggler_factor = Some(4.0);
         faults.link_bandwidth_factor = Some(0.25);
-        for method in [Method::Baseline, Method::SmartComp { keep_ratio: 0.01 }] {
+        for method in [MethodSpec::baseline(), MethodSpec::smart_comp(0.01)] {
             let clean = session(method).simulate_iteration().expect("timed");
             let degraded = Session::builder(
                 ModelConfig::gpt2_0_34b(),
@@ -688,14 +655,96 @@ mod tests {
     }
 
     #[test]
-    fn timed_view_matches_the_experiment_front_end() {
-        let s = session(Method::SmartComp { keep_ratio: 0.01 });
-        let via_session = s.simulate_iteration().expect("simulation");
-        let via_experiment = s
-            .experiment()
-            .expect("experiment")
-            .run(Method::SmartComp { keep_ratio: 0.01 })
-            .expect("simulation");
-        assert_eq!(via_session, via_experiment);
+    fn overrides_that_restate_the_defaults_leave_the_timed_view_bit_identical() {
+        let mut specs = MethodSpec::ladder();
+        specs.extend([MethodSpec::pipelined(None), MethodSpec::pipelined(Some(0.01))]);
+        for devices in [1, 3, 6] {
+            for spec in &specs {
+                let builder = || {
+                    Session::builder(
+                        ModelConfig::gpt2_4b(),
+                        MachineConfig::smart_infinity(devices),
+                        *spec,
+                    )
+                };
+                let plain = builder().build().simulate_iteration().expect("simulation");
+                let handler = builder()
+                    .with_handler(spec.implied_handler())
+                    .build()
+                    .simulate_iteration()
+                    .expect("simulation");
+                let subgroup = builder()
+                    .with_subgroup_elems(SmartInfinityEngine::DEFAULT_SUBGROUP_ELEMS)
+                    .build()
+                    .simulate_iteration()
+                    .expect("simulation");
+                assert_eq!(plain, handler, "{spec} on {devices} devices, handler override");
+                assert_eq!(plain, subgroup, "{spec} on {devices} devices, subgroup override");
+            }
+        }
+    }
+
+    /// The timed view of a GPT-2 4B iteration on six CSDs.
+    fn simulate_6(method: MethodSpec) -> IterationReport {
+        Session::builder(ModelConfig::gpt2_4b(), MachineConfig::smart_infinity(6), method)
+            .build()
+            .simulate_iteration()
+            .expect("simulation")
+    }
+
+    #[test]
+    fn off_ladder_compression_is_ordered_and_incoherent_specs_are_rejected() {
+        // Compression under the naive handler (SU+C) must be slower than
+        // SU+O+C and faster than plain SU.
+        let su_c = MethodSpec::smart_update().with_compression(CompressionSpec::top_k(0.01));
+        let su_c_t = simulate_6(su_c).total_s();
+        let su_t = simulate_6(MethodSpec::smart_update()).total_s();
+        let su_o_c_t = simulate_6(MethodSpec::smart_comp(0.01)).total_s();
+        assert!(su_o_c_t < su_c_t && su_c_t < su_t, "{su_o_c_t} < {su_c_t} < {su_t}");
+        // An incoherent spec is rejected up front, not deep in the engine.
+        let bad = MethodSpec { overlap: false, ..MethodSpec::pipelined(None) };
+        let err = session(bad).simulate_iteration().expect_err("pipelined without overlap");
+        assert!(matches!(err, TrainError::Config { .. }), "{err}");
+    }
+
+    #[test]
+    fn pipelined_method_is_at_least_as_fast_as_its_serial_counterpart() {
+        let su_o = simulate_6(MethodSpec::smart_update_optimized());
+        let pipe = simulate_6(MethodSpec::pipelined(None));
+        assert!(
+            pipe.total_s() <= su_o.total_s() * 1.001,
+            "{} vs {}",
+            pipe.total_s(),
+            su_o.total_s()
+        );
+        let comp = simulate_6(MethodSpec::smart_comp(0.01));
+        let pipe_comp = simulate_6(MethodSpec::pipelined(Some(0.01)));
+        assert!(pipe_comp.total_s() <= comp.total_s() * 1.001);
+        assert!(pipe_comp.total_s() < pipe.total_s(), "compression still helps when pipelined");
+    }
+
+    #[test]
+    fn ladder_reports_baseline_speedup_of_one() {
+        let reports: Vec<IterationReport> =
+            MethodSpec::ladder().into_iter().map(simulate_6).collect();
+        assert_eq!(reports.len(), 4);
+        let speedups: Vec<f64> = reports.iter().map(|r| r.speedup_over(&reports[0])).collect();
+        assert!((speedups[0] - 1.0).abs() < 1e-9);
+        assert!(speedups.iter().skip(1).all(|&s| s > 1.0), "{speedups:?}");
+    }
+
+    #[test]
+    fn optimizer_override_affects_the_baseline_state_volume() {
+        let adam = simulate_6(MethodSpec::baseline());
+        let sgd = Session::builder(
+            ModelConfig::gpt2_4b(),
+            MachineConfig::smart_infinity(6),
+            MethodSpec::baseline(),
+        )
+        .with_optimizer(Optimizer::new(OptimizerKind::SgdMomentum, HyperParams::default()))
+        .build()
+        .simulate_iteration()
+        .expect("simulation");
+        assert!(sgd.update_s < adam.update_s);
     }
 }

@@ -4,17 +4,13 @@
 //! The paper's method space is a product of orthogonal features — storage
 //! offload, in-CSD update (SmartUpdate), the optimized internal transfer
 //! handler, cross-CSD pipelining, and SmartComp gradient compression with a
-//! choice of selectors. The closed [`Method`] enum enumerated the paper's
-//! ablation points of that space, which meant every new axis doubled the
-//! variant count and every consumer re-matched the variants by hand.
-//!
-//! [`MethodSpec`] replaces the enumeration with the axes themselves: five
-//! capability fields that compose freely, validated centrally
-//! ([`MethodSpec::validate`] returns [`TrainError::Config`] instead of a
-//! substrate panic), and printed with the paper's figure labels
-//! (`BASE`, `SU`, `SU+O`, `SU+O+C(2%)`, `SU+O+P`, ...). The old enum remains
-//! as a thin compatibility shim: `MethodSpec::from(method)` maps every
-//! variant onto the axes, and both types `Display` the same labels.
+//! choice of selectors. [`MethodSpec`] describes a method by those axes
+//! themselves: five capability fields that compose freely, validated
+//! centrally ([`MethodSpec::validate`] returns [`TrainError::Config`] instead
+//! of a substrate panic), and printed with the paper's figure labels
+//! (`BASE`, `SU`, `SU+O`, `SU+O+C(2%)`, `SU+O+P`, ...). Named constructors
+//! ([`MethodSpec::baseline`], [`MethodSpec::smart_comp`], ...) spell the
+//! paper's ablation points.
 //!
 //! [`RunSpec`] lifts the rest of a run into data — model and machine presets,
 //! optimizer, thread count, handler override, subgroup capacity, workload —
@@ -24,7 +20,6 @@
 //! specs run concurrently through [`crate::Campaign`].
 
 use crate::engine_timed::HandlerMode;
-use crate::experiment::Method;
 use crate::session::Session;
 use faultkit::FaultSpec;
 use gradcomp::{Compressor, SelectionMethod};
@@ -272,26 +267,6 @@ impl fmt::Display for MethodSpec {
     }
 }
 
-/// Every closed-enum method maps onto the capability axes; this is the
-/// compatibility shim that keeps [`Method`]-based call sites working.
-impl From<Method> for MethodSpec {
-    fn from(method: Method) -> Self {
-        match method {
-            Method::Baseline => MethodSpec::baseline(),
-            Method::SmartUpdate => MethodSpec::smart_update(),
-            Method::SmartUpdateOptimized => MethodSpec::smart_update_optimized(),
-            Method::SmartComp { keep_ratio } => MethodSpec::smart_comp(keep_ratio),
-            Method::SmartInfinityPipelined { keep_ratio } => MethodSpec::pipelined(keep_ratio),
-        }
-    }
-}
-
-impl From<&Method> for MethodSpec {
-    fn from(method: &Method) -> Self {
-        MethodSpec::from(*method)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Model / machine / workload specs: the declarative halves of a run
 // ---------------------------------------------------------------------------
@@ -430,7 +405,7 @@ impl Deserialize for ModelSpec {
 ///
 /// Whether the devices act as plain RAID0 SSDs or as CSDs is **not** part of
 /// the machine spec — it follows from the method's capability axes, exactly
-/// as [`crate::Experiment`] flips [`fabric::StorageKind`] per method.
+/// as [`Session::simulate_iteration`] flips [`fabric::StorageKind`] per method.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachineSpec {
     /// Number of storage devices behind the expansion switch.
@@ -790,24 +765,34 @@ mod tests {
 
     #[test]
     fn every_method_variant_maps_onto_the_axes() {
+        // Each named ablation point is the documented combination of axes
+        // (offload, in_storage_update, overlap, pipelined, keep ratio).
         let cases = [
-            (Method::Baseline, MethodSpec::baseline()),
-            (Method::SmartUpdate, MethodSpec::smart_update()),
-            (Method::SmartUpdateOptimized, MethodSpec::smart_update_optimized()),
-            (Method::SmartComp { keep_ratio: 0.05 }, MethodSpec::smart_comp(0.05)),
-            (Method::SmartInfinityPipelined { keep_ratio: None }, MethodSpec::pipelined(None)),
-            (
-                Method::SmartInfinityPipelined { keep_ratio: Some(0.01) },
-                MethodSpec::pipelined(Some(0.01)),
-            ),
+            (MethodSpec::baseline(), (true, false, false, false, None)),
+            (MethodSpec::smart_update(), (true, true, false, false, None)),
+            (MethodSpec::smart_update_optimized(), (true, true, true, false, None)),
+            (MethodSpec::smart_comp(0.05), (true, true, true, false, Some(0.05))),
+            (MethodSpec::pipelined(None), (true, true, true, true, None)),
+            (MethodSpec::pipelined(Some(0.01)), (true, true, true, true, Some(0.01))),
         ];
-        for (method, expected) in cases {
-            let spec = MethodSpec::from(method);
-            assert_eq!(spec, expected);
-            assert_eq!(spec.to_string(), method.to_string(), "labels must agree");
+        for (spec, axes) in cases {
+            let actual = (
+                spec.offload,
+                spec.in_storage_update,
+                spec.overlap,
+                spec.pipelined,
+                spec.keep_ratio(),
+            );
+            assert_eq!(actual, axes, "{spec}");
             spec.validate().expect("ladder methods are valid");
         }
-        assert_eq!(MethodSpec::ladder().len(), Method::ladder().len());
+        let ladder = [
+            MethodSpec::baseline(),
+            MethodSpec::smart_update(),
+            MethodSpec::smart_update_optimized(),
+            MethodSpec::smart_comp(0.01),
+        ];
+        assert_eq!(MethodSpec::ladder(), ladder);
     }
 
     #[test]

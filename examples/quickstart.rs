@@ -57,7 +57,7 @@ fn main() -> Result<(), TrainError> {
 
     // The capability axes compose beyond the paper's ladder: the same
     // machine with the handler optimization turned *off* but compression
-    // kept on — a configuration the old closed Method enum could not express.
+    // kept on — a point off the paper's ladder, named by its axes alone.
     let su_c = RunSpec::new(
         campaign.specs[0].model.clone(),
         campaign.specs[0].machine.clone(),

@@ -10,7 +10,9 @@
 
 use gradcomp::Compressor;
 use optim::{HyperParams, Optimizer, OptimizerKind};
-use smart_infinity::{MachineConfig, Method, ModelConfig, Session, SmartInfinityTrainer, Trainer};
+use smart_infinity::{
+    MachineConfig, MethodSpec, ModelConfig, Session, SmartInfinityTrainer, Trainer,
+};
 use tensorlib::{Dtype, FlatTensor};
 use ztrain::SyntheticGradients;
 
@@ -59,9 +61,9 @@ fn every_engine_produces_identical_parameters_for_every_optimizer() {
             .build()
         };
         let mut baseline =
-            session(Method::Baseline, 3, 2_500).trainer(&initial).expect("baseline trainer");
+            session(MethodSpec::baseline(), 3, 2_500).trainer(&initial).expect("baseline trainer");
         let mut smart =
-            session(Method::SmartUpdate, 5, 1_111).trainer(&initial).expect("smart trainer");
+            session(MethodSpec::smart_update(), 5, 1_111).trainer(&initial).expect("smart trainer");
         for g in &grads {
             baseline.step(g).expect("baseline step");
             smart.step(g).expect("smart step");

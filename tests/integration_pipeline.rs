@@ -9,7 +9,7 @@ use gradcomp::{CompressError, CompressedGradient, Compressor};
 use optim::{HyperParams, Optimizer, OptimizerKind};
 use proptest::prelude::*;
 use smart_infinity::{
-    FlatTensor, MachineConfig, Method, ModelConfig, Session, SmartInfinityEngine,
+    FlatTensor, MachineConfig, MethodSpec, ModelConfig, Session, SmartInfinityEngine,
     SmartInfinityTrainer, TrainError, Trainer,
 };
 use std::error::Error;
@@ -19,13 +19,13 @@ fn pipelined_session(devices: usize, threads: usize, keep_ratio: Option<f64>) ->
     Session::builder(
         ModelConfig::gpt2_0_34b(),
         MachineConfig::smart_infinity(devices),
-        Method::SmartInfinityPipelined { keep_ratio },
+        MethodSpec::pipelined(keep_ratio),
     )
     .with_threads(threads)
     .build()
 }
 
-/// The acceptance criterion: a `Session` with `Method::SmartInfinityPipelined`
+/// The acceptance criterion: a `Session` with `MethodSpec::pipelined`
 /// produces parameters bit-identical to the trainer running its shards in
 /// order, while the step reports carry per-stage overlap telemetry.
 #[test]
@@ -128,7 +128,7 @@ fn pipelined_session_validates_degenerate_knobs() {
     let s = Session::builder(
         ModelConfig::gpt2_0_34b(),
         MachineConfig::smart_infinity(2),
-        Method::SmartInfinityPipelined { keep_ratio: None },
+        MethodSpec::pipelined(None),
     )
     .with_subgroup_elems(0)
     .build();

@@ -112,7 +112,7 @@ impl SmartKnobs {
 }
 
 /// Runs the whole grid against the *current* engines. Every grid point is a
-/// configuration the production front doors (session/experiment) can reach.
+/// configuration the production front door (`Session`) can reach.
 fn run_grid() -> Vec<GoldenCase> {
     let mut cases: Vec<GoldenCase> = Vec::new();
     let models = [("gpt2_0.34b", ModelConfig::gpt2_0_34b()), ("gpt2_4b", ModelConfig::gpt2_4b())];
